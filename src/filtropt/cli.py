@@ -13,13 +13,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
 
 from . import anf, complexity, cosets, experiment, likelihood, polytable, spectral
-from .lfsr import LfsrGenerator
 
 
 class CliError(ValueError):
@@ -29,27 +27,6 @@ class CliError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep 2 for comparisons
         raise CliError(message)
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: which pipeline to run and with what knobs."""
-
-    subcommand: str
-    L: int | None = None
-    k: int | None = None
-    poly: int | None = None
-    filter_anf: str | None = None
-    bits: str | None = None
-    initial_state: int = 1
-    trials: int = experiment.DEFAULT_TRIALS
-    seed: int = 1998
-    jobs: int = 1
-    digits: int = 50
-    exact: bool = False
-    output: str = "json"
-    out_path: str | None = None
-    csv_path: str | None = None
 
 
 def _big(n) -> str:
@@ -64,16 +41,18 @@ def _fraction(fr: Fraction | None) -> str | None:
     return None if fr is None else f"{fr.numerator}/{fr.denominator}"
 
 
-def _parse_hex(text: str, flag: str) -> int:
+def _hex(text: str) -> int:
+    """argparse type for --poly and --state."""
     try:
         return int(text, 16)
     except ValueError:
-        raise CliError(f"{flag} expects a hexadecimal bitmask, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expects a hexadecimal bitmask, got {text!r}") from None
 
 
-def _context(cfg: RunConfig):
+def _context(args: argparse.Namespace):
     try:
-        return polytable.context_for(cfg.L, cfg.poly)
+        return polytable.context_for(args.length, args.poly)
     except ValueError as exc:
         raise CliError(f"--length/--poly: {exc}") from None
 
@@ -87,10 +66,10 @@ def _parse_filter(text: str, L: int) -> anf.FilterFunction:
         raise CliError(f"--filter: {exc}") from None
 
 
-def _emit(payload: dict, cfg: RunConfig, csv_rows=None) -> None:
-    if cfg.output == "json":
+def _emit(payload: dict, args: argparse.Namespace, csv_rows=None) -> None:
+    if args.output == "json":
         text = json.dumps(payload, indent=2) + "\n"
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         if csv_rows is not None:
@@ -106,8 +85,8 @@ def _emit(payload: dict, cfg: RunConfig, csv_rows=None) -> None:
     else:  # human
         text = "\n".join(f"{key}: {value}" for key, value in payload.items()
                          if not isinstance(value, list)) + "\n"
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    if args.out_path:
+        with open(args.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -121,20 +100,20 @@ def _write_trial_csv(path: str, records) -> None:
             writer.writerow([rec.filter_anf, rec.lc, rec.period, int(rec.is_max)])
 
 
-def cmd_cosets(cfg: RunConfig) -> int:
-    table = cosets.cosets_up_to_weight(cfg.L, cfg.k)
+def cmd_cosets(args: argparse.Namespace) -> int:
+    table = cosets.cosets_up_to_weight(args.length, args.max_weight)
     entries = [{"leader": c.leader, "cardinal": c.cardinal, "weight": c.weight,
-                "period": cosets.coset_period(c, cfg.L)} for c in table]
-    payload = {"length": cfg.L, "max_weight": cfg.k, "count": len(entries),
+                "period": cosets.coset_period(c, args.length)} for c in table]
+    payload = {"length": args.length, "max_weight": args.max_weight, "count": len(entries),
                "cosets": entries}
-    _emit(payload, cfg, csv_rows=(["leader", "cardinal", "weight", "period"],
-                                  [[e["leader"], e["cardinal"], e["weight"], e["period"]]
-                                   for e in entries]))
+    _emit(payload, args, csv_rows=(["leader", "cardinal", "weight", "period"],
+                                   [[e["leader"], e["cardinal"], e["weight"], e["period"]]
+                                    for e in entries]))
     return 0
 
 
-def cmd_lc(cfg: RunConfig) -> int:
-    text = cfg.bits
+def cmd_lc(args: argparse.Namespace) -> int:
+    text = args.bits
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -148,17 +127,17 @@ def cmd_lc(cfg: RunConfig) -> int:
     result = complexity.berlekamp_massey(bits)
     payload = {"length": len(bits), "lc": result.lc,
                "minimal_poly": f"0x{result.minimal_poly:x}"}
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    ctx = _context(cfg)
-    f = _parse_filter(cfg.filter_anf, ctx.L)
-    gen = LfsrGenerator(ctx, cfg.initial_state)
-    z = anf.filter_sequence(f, gen, ctx.order)
-    lc_bm = complexity.linear_complexity_periodic(z)
-    period_measured = complexity.min_period(z)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    ctx = _context(args)
+    f = _parse_filter(args.filter_anf, ctx.L)
+    lab = experiment._SequenceLab(ctx, args.state)
+    z = lab.filter_period_packed(f)
+    lc_bm, period_measured = lab.measure(z)
+    del lab  # free its monomial vectors before the DFT allocates
     spectrum = spectral.dft(z, ctx)
     lines = [{"leader": line.coset.leader, "weight": line.coset.weight,
               "cardinal": line.coset.cardinal,
@@ -178,15 +157,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "optimal": lc_bm == cosets.nk(ctx.L, f.k) and period_measured == ctx.order,
         "lines": lines,
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
-def cmd_prob(cfg: RunConfig) -> int:
-    if not 1 <= (cfg.k or 0) <= cfg.L:
-        raise CliError(f"--order must be in [1, {cfg.L}]")
-    report = likelihood.pr_report(cfg.L, cfg.k, digits=cfg.digits)
-    if cfg.exact and report.mode != "exact":
+def cmd_prob(args: argparse.Namespace) -> int:
+    if not 1 <= args.order <= args.length:
+        raise CliError(f"--order must be in [1, {args.length}]")
+    report = likelihood.pr_report(args.length, args.order, digits=args.digits)
+    if args.exact and report.mode != "exact":
         raise CliError(
             f"--exact: nk(L,k) = {report.nk_value} exceeds the exact-mode budget "
             f"of {likelihood.EXACT_NK_BIT_CAP} bits")
@@ -206,7 +185,7 @@ def cmd_prob(cfg: RunConfig) -> int:
         "mode": report.mode,
         "digits": report.digits,
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
@@ -234,35 +213,36 @@ def _summary_payload(summary, verdict) -> dict:
     }
 
 
-def _run_experiment(cfg: RunConfig, exhaustive: bool) -> int:
-    ctx = _context(cfg)
-    if not 1 <= (cfg.k or 0) <= ctx.L:
+def _run_experiment(args: argparse.Namespace, exhaustive: bool) -> int:
+    ctx = _context(args)
+    k = args.order
+    if not 1 <= k <= ctx.L:
         raise CliError(f"--order must be in [1, {ctx.L}]")
-    collect = cfg.csv_path is not None
+    collect = args.csv_path is not None
     try:
         if exhaustive:
-            summary = experiment.run_exhaustive(ctx.L, cfg.k, ctx, jobs=cfg.jobs,
+            summary = experiment.run_exhaustive(ctx.L, k, ctx, jobs=args.jobs,
                                                 collect_records=collect)
         else:
-            summary = experiment.run_monte_carlo(ctx.L, cfg.k, cfg.trials, cfg.seed,
-                                                 ctx, jobs=cfg.jobs,
+            summary = experiment.run_monte_carlo(ctx.L, k, args.trials, args.seed,
+                                                 ctx, jobs=args.jobs,
                                                  collect_records=collect)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    report = likelihood.pr_report(ctx.L, cfg.k)
+    report = likelihood.pr_report(ctx.L, k)
     verdict = experiment.compare(summary, report)
     if collect:
-        _write_trial_csv(cfg.csv_path, summary.records)
-    _emit(_summary_payload(summary, verdict), cfg)
+        _write_trial_csv(args.csv_path, summary.records)
+    _emit(_summary_payload(summary, verdict), args)
     return 0 if verdict.ok else 2
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    return _run_experiment(cfg, exhaustive=True)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    return _run_experiment(args, exhaustive=True)
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    return _run_experiment(cfg, exhaustive=False)
+def cmd_sample(args: argparse.Namespace) -> int:
+    return _run_experiment(args, exhaustive=False)
 
 
 def build_parser() -> _Parser:
@@ -279,7 +259,7 @@ def build_parser() -> _Parser:
             p.add_argument("--order", "-k", type=int, required=True,
                            help="filter order k")
         if poly:
-            p.add_argument("--poly", type=str, default=None,
+            p.add_argument("--poly", type=_hex, default=None,
                            help="feedback polynomial as hex bitmask (default: embedded table)")
         p.add_argument("--output", choices=("json", "csv", "human"), default="json")
         p.add_argument("--out", dest="out_path", default=None,
@@ -298,7 +278,7 @@ def build_parser() -> _Parser:
     common(p, order=False, poly=True)
     p.add_argument("--filter", dest="filter_anf", required=True,
                    help="ANF text like 'x0 + x1*x3', or a JSON list of tap lists")
-    p.add_argument("--state", default="1",
+    p.add_argument("--state", type=_hex, default=1,
                    help="initial register fill as hex (default 1)")
 
     p = sub.add_parser("prob", help="analytic probability report")
@@ -334,29 +314,6 @@ _HANDLERS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    cfg.L = getattr(args, "length", None)
-    cfg.k = getattr(args, "order", None)
-    if args.subcommand == "cosets":
-        cfg.k = args.max_weight
-    if getattr(args, "poly", None):
-        cfg.poly = _parse_hex(args.poly, "--poly")
-    if getattr(args, "state", None):
-        cfg.initial_state = _parse_hex(args.state, "--state")
-    cfg.filter_anf = getattr(args, "filter_anf", None)
-    cfg.bits = getattr(args, "bits", None)
-    cfg.trials = getattr(args, "trials", cfg.trials)
-    cfg.seed = getattr(args, "seed", cfg.seed)
-    cfg.jobs = getattr(args, "jobs", cfg.jobs)
-    cfg.digits = getattr(args, "digits", cfg.digits)
-    cfg.exact = getattr(args, "exact", False)
-    cfg.output = args.output
-    cfg.out_path = args.out_path
-    cfg.csv_path = getattr(args, "csv_path", None)
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     # exact-mode counts can run to hundreds of thousands of digits, beyond
     # CPython's default int-to-str conversion guard
@@ -365,10 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        if cfg.L is not None and cfg.L < 2:
+        if getattr(args, "length", None) is not None and args.length < 2:
             raise CliError("--length must be at least 2")
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.subcommand](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

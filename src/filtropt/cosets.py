@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
 
+from .complexity import _divisors
+
 ENUMERATION_MAX_L = 20
 
 
@@ -97,11 +99,6 @@ def coset_period(c: CyclotomicCoset, L: int) -> int:
     """Period of the coset's characteristic sequence: (2^L - 1)/gcd(leader, 2^L - 1)."""
     n = (1 << L) - 1
     return n // gcd(c.leader, n)
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def _mobius(n: int) -> int:

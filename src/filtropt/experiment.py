@@ -12,6 +12,7 @@ many workers run them.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from .lfsr import window_table
 from .likelihood import LikelihoodReport, pr_exact
 
 DESK_MAX_L = 16
+SEED_LIMIT = 1 << 127  # trial_seed packs the master seed into 16 signed bytes
 DEFAULT_TRIALS = 20000
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -80,16 +82,21 @@ class Verdict:
 
 
 class _SequenceLab:
-    """Shared per-(ctx) machinery: windows, monomial value vectors."""
+    """The one producer of filter output: windows and monomial value vectors.
 
-    def __init__(self, ctx: FieldContext):
+    A period of output is a packed int with z_n at bit n, the xor of one
+    cached value vector per monomial.  This is also where sequence work is
+    capped at DESK_MAX_L.
+    """
+
+    def __init__(self, ctx: FieldContext, initial_state: int = 1):
         if ctx.L > DESK_MAX_L:
             raise ValueError(
-                f"sequence experiments are capped at L <= {DESK_MAX_L} "
+                f"sequence work is capped at L <= {DESK_MAX_L} "
                 f"(analytic reports remain available for any L)")
         self.ctx = ctx
         self.period = ctx.order
-        self._windows = np.array(window_table(ctx), dtype=np.int64)
+        self._windows = window_table(ctx, initial_state)
         self._vectors: dict[int, int] = {}
 
     def _vector(self, mask: int) -> int:
@@ -107,9 +114,8 @@ class _SequenceLab:
             out ^= self._vector(mask)
         return out
 
-    def measure(self, f: FilterFunction) -> tuple[int, int]:
-        """(linear complexity, minimal period) of the filter output."""
-        z = self.filter_period_packed(f)
+    def measure(self, z: int) -> tuple[int, int]:
+        """(linear complexity, minimal period) of a packed output period."""
         return periodic_lc_packed(z, self.period), min_period_packed(z, self.period)
 
 
@@ -130,64 +136,49 @@ def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _census_chunk(args: tuple[int, int, int, int, bool]) -> tuple[int, int, list | None]:
-    L, k, lo, hi, collect = args
-    ctx = polytable.context_for(L)
+def _measure_chunk(args: tuple[FieldContext, int, int | None, int, int, bool]
+                   ) -> tuple[int, int, list | None]:
+    """Measure filters lo..hi-1: census indices if seed is None, else seeded draws."""
+    ctx, k, seed, lo, hi, collect = args
     lab = _SequenceLab(ctx)
-    target = nk(L, k)
-    period = ctx.order
-    hits_lc = 0
-    hits_period = 0
-    records = [] if collect else None
-    for f in enumerate_filters(L, k, start=lo, stop=hi):
-        lc, per = lab.measure(f)
-        is_max = lc == target
-        hits_lc += is_max
-        hits_period += per == period
-        if collect:
-            records.append(TrialRecord(format_anf(f), lc, per, is_max))
-    return hits_lc, hits_period, records
-
-
-def _mc_chunk(args: tuple[int, int, int, int, int, bool]) -> tuple[int, int, list | None]:
-    L, k, seed, lo, hi, collect = args
-    ctx = polytable.context_for(L)
-    lab = _SequenceLab(ctx)
-    target = nk(L, k)
-    period = ctx.order
-    hits_lc = 0
-    hits_period = 0
-    records = [] if collect else None
-    for i in range(lo, hi):
-        rng = random.Random(trial_seed(seed, i))
-        f = random_filter(L, k, rng)
-        lc, per = lab.measure(f)
-        is_max = lc == target
-        hits_lc += is_max
-        hits_period += per == period
-        if collect:
-            records.append(TrialRecord(format_anf(f), lc, per, is_max))
-    return hits_lc, hits_period, records
-
-
-def _run_chunks(worker, arg_chunks, jobs: int):
-    if jobs <= 1 or len(arg_chunks) <= 1:
-        results = [worker(a) for a in arg_chunks]
+    L = ctx.L
+    if seed is None:
+        filters = enumerate_filters(L, k, start=lo, stop=hi)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, arg_chunks))
-    hits_lc = sum(r[0] for r in results)
-    hits_period = sum(r[1] for r in results)
-    records = None
-    if results and results[0][2] is not None:
-        records = [rec for r in results for rec in r[2]]
+        filters = (random_filter(L, k, random.Random(trial_seed(seed, i)))
+                   for i in range(lo, hi))
+    target = nk(L, k)
+    hits_lc = 0
+    hits_period = 0
+    records = [] if collect else None
+    for f in filters:
+        lc, per = lab.measure(lab.filter_period_packed(f))
+        is_max = lc == target
+        hits_lc += is_max
+        hits_period += per == lab.period
+        if collect:
+            records.append(TrialRecord(format_anf(f), lc, per, is_max))
     return hits_lc, hits_period, records
 
 
-def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    n = max(1, min(jobs, total))
-    step = (total + n - 1) // n
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _measure(ctx: FieldContext, k: int, seed: int | None, total: int, jobs: int,
+             collect: bool) -> tuple[int, int, list | None]:
+    """Hit counts (and records) over filters 0..total-1, split across workers.
+
+    At most min(jobs, total, cpu count) worker processes; the split never
+    changes the result.
+    """
+    workers = max(1, min(jobs, total, os.cpu_count() or 1))
+    step = (total + workers - 1) // workers
+    chunks = [(ctx, k, seed, lo, min(lo + step, total), collect)
+              for lo in range(0, total, step)]
+    if len(chunks) == 1:
+        results = [_measure_chunk(chunks[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            results = list(pool.map(_measure_chunk, chunks))
+    records = [rec for r in results for rec in r[2]] if collect else None
+    return sum(r[0] for r in results), sum(r[1] for r in results), records
 
 
 def run_exhaustive(L: int, k: int, ctx: FieldContext | None = None, *,
@@ -200,8 +191,7 @@ def run_exhaustive(L: int, k: int, ctx: FieldContext | None = None, *,
         raise ValueError(
             f"census of about 2^{total.bit_length() - 1} filters exceeds the cap "
             f"of {DEFAULT_ENUMERATION_CAP}; use run_monte_carlo instead")
-    chunks = [(L, k, lo, hi, collect_records) for lo, hi in _chunk_ranges(total, jobs)]
-    hits_lc, hits_period, records = _run_chunks(_census_chunk, chunks, jobs)
+    hits_lc, hits_period, records = _measure(ctx, k, None, total, jobs, collect_records)
     analytic = pr_exact(L, k)
     empirical = Fraction(hits_lc, total)
     se = sqrt(float(analytic) * (1 - float(analytic)) / total)
@@ -220,14 +210,11 @@ def run_monte_carlo(L: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     """trials uniform filter draws with reproducible per-trial sub-seeds."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not -SEED_LIMIT <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [-2^127, 2^127), got {seed}")
     if ctx is None:
         ctx = polytable.context_for(L)
-    if ctx.L > DESK_MAX_L:
-        raise ValueError(
-            f"Monte Carlo needs sequence work, capped at L <= {DESK_MAX_L}; "
-            "the analytic pr_report covers larger L")
-    chunks = [(L, k, seed, lo, hi, collect_records) for lo, hi in _chunk_ranges(trials, jobs)]
-    hits_lc, hits_period, records = _run_chunks(_mc_chunk, chunks, jobs)
+    hits_lc, hits_period, records = _measure(ctx, k, seed, trials, jobs, collect_records)
     analytic = float(pr_exact(L, k))
     empirical = hits_lc / trials
     ci_low, ci_high = wilson_interval(hits_lc, trials)

@@ -214,12 +214,6 @@ class FieldContext:
             a ^= self.modulus
         return a
 
-    def mul_alpha_inv(self, a: FieldElement) -> FieldElement:
-        """Multiply by alpha^-1 in O(1)."""
-        if a & 1:
-            a ^= self.modulus
-        return a >> 1
-
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         """Polynomial product reduced modulo the field modulus."""
         self.check(a)
@@ -231,9 +225,6 @@ class FieldContext:
             b >>= 1
             a = self.mul_alpha(a)
         return r
-
-    def sqr(self, a: FieldElement) -> FieldElement:
-        return self.mul(a, a)
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
         """Square-and-multiply power; exponents reduce mod 2^L - 1 for a != 0."""

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .field import FieldContext
 
 
@@ -66,25 +68,21 @@ class LfsrGenerator:
 
 
 @lru_cache(maxsize=32)
-def _window_table(ctx: FieldContext, initial_state: int) -> tuple[int, ...]:
-    gen = LfsrGenerator(ctx, initial_state)
-    bits = gen.period_bits()
-    period = ctx.order
-    L = ctx.L
-    w = 0
-    for i in range(L):
-        w |= bits[i % period] << i
-    out = [0] * period
-    out[0] = w
-    top = L - 1
-    for n in range(1, period):
-        w = (w >> 1) | (bits[(n + top) % period] << top)
-        out[n] = w
-    return tuple(out)
+def _window_table(ctx: FieldContext, initial_state: int) -> np.ndarray:
+    bits = np.array(LfsrGenerator(ctx, initial_state).period_bits(), dtype=np.int64)
+    table = np.zeros(ctx.order, dtype=np.int64)
+    for i in range(ctx.L):
+        table |= np.roll(bits, -i) << i
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
-def window_table(ctx: FieldContext, initial_state: int = 1) -> tuple[int, ...]:
-    """All windows over one period; window_table(ctx)[n] == gen.window(n)."""
+def window_table(ctx: FieldContext, initial_state: int = 1) -> np.ndarray:
+    """All windows over one period as a read-only int64 array.
+
+    window_table(ctx)[n] == gen.window(n); the window at n is the register
+    state after n clocks.
+    """
     return _window_table(ctx, initial_state)
 
 

@@ -127,6 +127,8 @@ def pr_report(L: int, k: int, digits: int = 50,
     rounded either way (the regime where nk(L,k) is about 2^(L-1));
     True/False forces the choice.
     """
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
     nk_value = nk(L, k)
     counts = cardinal_counts(L, k)
     if sum(d * c for d, c in counts.items()) != nk_value:

@@ -24,17 +24,20 @@ def _table_path() -> str | None:
 
 @lru_cache(maxsize=4)
 def _load(path: str | None) -> dict[int, tuple[int, tuple[int, ...]]]:
-    if path is not None:
+    if path is None:
+        return _parse(json.loads(
+            resources.files("filtropt").joinpath("data/polynomials.json").read_text()))
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
-        raw = json.loads(
-            resources.files("filtropt").joinpath("data/polynomials.json").read_text())
-    table = {}
-    for key, rec in raw.items():
-        L = int(key)
-        table[L] = (int(rec["poly"], 16), tuple(int(f) for f in rec["factors"]))
-    return table
+            return _parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{ENV_TABLE_VAR}={path!r} is not a usable polynomial table "
+                         f"({type(exc).__name__}: {exc})") from None
+
+
+def _parse(raw) -> dict[int, tuple[int, tuple[int, ...]]]:
+    return {int(key): (int(rec["poly"], 16), tuple(int(f) for f in rec["factors"]))
+            for key, rec in raw.items()}
 
 
 def table() -> dict[int, tuple[int, tuple[int, ...]]]:

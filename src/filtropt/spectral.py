@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Sequence
 
 import numpy as np
 
@@ -47,13 +46,14 @@ class Spectrum:
         return len(self.lines)
 
 
-def dft(z: Sequence[int], ctx: FieldContext) -> Spectrum:
-    """Project one period onto the coset leaders; keeps nonzero lines only."""
+def dft(z: int, ctx: FieldContext) -> Spectrum:
+    """Project one packed period (z_n at bit n) onto the coset leaders; nonzero lines only."""
     order = ctx.order
-    if len(z) != order:
-        raise ValueError(f"need exactly one period of {order} bits, got {len(z)}")
+    if z < 0 or z >> order:
+        raise ValueError(f"need one period of {order} bits packed into an int")
     exp = np.array(ctx.exp_table, dtype=np.int64)
-    ones = np.flatnonzero(np.asarray(z, dtype=np.int64))
+    raw = np.frombuffer(z.to_bytes((order + 7) // 8, "little"), dtype=np.uint8)
+    ones = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
     lines: dict[int, SpectralLine] = {}
     if len(ones) == 0:
         return Spectrum(ctx, lines)
@@ -84,8 +84,8 @@ def reconstruct(s: Spectrum, n: int) -> int:
     return out
 
 
-def reconstruct_period(s: Spectrum) -> list[int]:
-    """All of z_0..z_(2^L - 2) at once; table-driven equivalent of reconstruct."""
+def reconstruct_period(s: Spectrum) -> int:
+    """z_0..z_(2^L - 2) packed into an int; table-driven equivalent of reconstruct."""
     ctx = s.ctx
     order = ctx.order
     exp = np.array(ctx.exp_table, dtype=np.int64)
@@ -102,7 +102,8 @@ def reconstruct_period(s: Spectrum) -> list[int]:
     bad = np.flatnonzero(acc > 1)
     if len(bad):
         raise AssertionError("conjugate sums escaped GF(2); spectrum is inconsistent")
-    return acc.tolist()
+    return int.from_bytes(np.packbits(acc.astype(np.uint8), bitorder="little").tobytes(),
+                          "little")
 
 
 def verify_subfield(s: Spectrum) -> bool:

@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from filtropt import cli
+from filtropt import cli, experiment, polytable
 
 
 def run(capsys, *argv):
@@ -100,6 +100,34 @@ def test_unknown_length_rejected(capsys):
     code, out, err = run(capsys, "analyze", "--length", "40", "--filter", "x0")
     assert code == 1
     assert "--length" in err
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["analyze", "-L", str(experiment.DESK_MAX_L + 1), "--filter", "x0"], "capped"),
+    (["analyze", "-L", "4", "--filter", "x0", "--state", "zz"], "--state"),
+    (["analyze", "-L", "4", "--filter", "x0", "--poly", "1g"], "--poly"),
+    (["sample", "-L", "5", "-k", "2", "--trials", "3", "--seed", str(1 << 127)], "seed"),
+    (["prob", "-L", "7", "-k", "3", "--digits", "-5"], "digits"),
+    (["prob", "-L", "7", "-k", "3", "--digits", "0"], "digits"),
+])
+def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize("content", [None, "not json", '{"5": {"poly": "25"}}', "[1, 2]"])
+def test_bad_poly_table_file_exits_1(capsys, monkeypatch, tmp_path, content):
+    path = tmp_path / "table.json"
+    if content is not None:
+        path.write_text(content)
+    monkeypatch.setenv(polytable.ENV_TABLE_VAR, str(path))
+    code, out, err = run(capsys, "analyze", "--length", "5", "--filter", "x0")
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert polytable.ENV_TABLE_VAR in err
 
 
 def test_prob_headline(capsys):

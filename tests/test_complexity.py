@@ -84,7 +84,7 @@ def test_periodic_lc_cross_module(ctx3):
     z = filter_sequence(parse_anf("x0 + x0*x1", 3), gen, 7)
     lc = linear_complexity_periodic(z)
     assert 1 <= lc <= 6
-    spec = dft(z, ctx3)
+    spec = dft(bits_to_int(z), ctx3)
     assert lc == lc_from_spectrum(spec)
     assert (lc == 6) == (set(spec.lines) == {1, 3})
 

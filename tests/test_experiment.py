@@ -1,10 +1,15 @@
 import dataclasses
+import random
 
 import pytest
 
-from filtropt import (compare, nfm, pr_report, run_exhaustive, run_monte_carlo,
+from filtropt import (LfsrGenerator, compare, context_for, filter_sequence,
+                      linear_complexity_periodic, min_period, nfm, parse_anf,
+                      pr_report, random_filter, run_exhaustive, run_monte_carlo,
                       wilson_interval)
-from filtropt.experiment import trial_seed
+from filtropt import experiment
+from filtropt.complexity import bits_to_int
+from filtropt.experiment import _SequenceLab, trial_seed
 
 
 def test_census_l3_k2():
@@ -65,6 +70,73 @@ def test_monte_carlo_validation():
         run_monte_carlo(5, 2, 0, 1)
     with pytest.raises(ValueError, match="capped"):
         run_monte_carlo(17, 2, 10, 1)
+
+
+def test_monte_carlo_seed_range():
+    for seed in (-(1 << 127), (1 << 127) - 1):
+        assert run_monte_carlo(4, 2, 5, seed).trials == 5
+    for seed in (1 << 127, -(1 << 127) - 1):
+        with pytest.raises(ValueError, match="seed"):
+            run_monte_carlo(4, 2, 5, seed)
+
+
+@pytest.mark.parametrize("L", [3, 4, 5, 7, 11])
+def test_lab_matches_per_bit_producer(L):
+    ctx = context_for(L)
+    rng = random.Random(300 + L)
+    for _ in range(6):
+        state = rng.randrange(1, 1 << L)
+        lab = _SequenceLab(ctx, state)
+        for _ in range(4):
+            f = random_filter(L, rng.randrange(1, min(L, 4) + 1), rng)
+            want = filter_sequence(f, LfsrGenerator(ctx, state), ctx.order)
+            assert lab.filter_period_packed(f) == bits_to_int(want)
+
+
+def test_records_follow_non_default_poly():
+    ctx = context_for(5, 0x29)
+    assert ctx.modulus != context_for(5).modulus
+
+    def oracle(rec):
+        z = filter_sequence(parse_anf(rec.filter_anf, 5), LfsrGenerator(ctx), ctx.order)
+        return rec.lc == linear_complexity_periodic(z) and rec.period == min_period(z)
+
+    census = run_exhaustive(5, 2, ctx, collect_records=True)
+    assert all(oracle(rec) for rec in random.Random(29).sample(census.records, 600))
+    mc = run_monte_carlo(5, 2, 300, 29, ctx, collect_records=True)
+    assert all(oracle(rec) for rec in mc.records)
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_clamped_to_chunks_and_cpus(monkeypatch):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    serial = run_exhaustive(4, 2, collect_records=True)
+    pooled = run_exhaustive(4, 2, jobs=8, collect_records=True)
+    assert pooled.records == serial.records
+    run_monte_carlo(5, 2, 3, 1, jobs=8)
+    assert _FakePool.sizes == [4, 3]
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: None)
+    run_monte_carlo(5, 2, 3, 1, jobs=8)
+    assert _FakePool.sizes == [4, 3]
 
 
 def test_max_lc_implies_max_period_per_trial():
