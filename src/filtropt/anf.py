@@ -1,19 +1,21 @@
 """Boolean filter functions in algebraic normal form.
 
-A filter of order k over L register stages is an xor of and-monomials, each
-monomial a strictly increasing tuple of tap offsets in [0, L-1].  There is
-no constant term, and at least one monomial has size exactly k, so the
+A filter of order k over L register stages is an xor of and-monomials.
+A monomial is stored as its tap bitmask (bit t set for tap x_t, t in
+[0, L-1]) and a filter as the strictly ascending tuple of its masks.  There
+is no constant term, and at least one monomial has exactly k taps, so the
 filters of order k for k = 1..L partition the nonzero constant-free
 functions.  Text form: monomials joined by '+', taps joined by '*', taps
-written x<index> ("x0 + x1*x3").
+written x<index> ("x0 + x1*x3").  Filters from outside the program, as text
+or as JSON tap lists, all pass through filter_from_monomial_lists.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, count
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .lfsr import LfsrGenerator
 
@@ -24,59 +26,46 @@ _TAP_RE = re.compile(r"^x(\d+)$")
 
 
 class AnfParseError(ValueError):
-    """Raised for malformed ANF text."""
+    """Raised for malformed ANF text or tap lists."""
 
 
 @dataclass(frozen=True)
 class FilterFunction:
-    """An order-k filter in ANF; immutable, evaluation is pure."""
+    """An order-k filter in ANF: one tap mask per monomial, strictly ascending."""
 
     L: int
-    monomials: frozenset[Monomial]
-    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.monomials:
+        masks = self.masks
+        if not masks:
             raise ValueError("a filter needs at least one monomial")
-        for mono in self.monomials:
-            if len(mono) == 0:
-                raise ValueError("constant monomial not allowed")
-            if list(mono) != sorted(set(mono)):
-                raise ValueError(f"monomial {mono} taps must be strictly increasing")
-            if mono[-1] >= self.L or mono[0] < 0:
-                raise ValueError(f"monomial {mono} has a tap outside [0, {self.L - 1}]")
-        masks = tuple(sorted(sum(1 << t for t in mono) for mono in self.monomials))
-        object.__setattr__(self, "_masks", masks)
+        if masks[0] < 1 or masks[-1] >> self.L:
+            raise ValueError(f"monomial masks must lie in [1, 2^{self.L})")
+        if any(a >= b for a, b in zip(masks, masks[1:])):
+            raise ValueError("monomial masks must be strictly ascending")
 
     @property
     def k(self) -> int:
         """Order: the largest monomial size."""
-        return max(len(m) for m in self.monomials)
+        return max(m.bit_count() for m in self.masks)
 
     def sorted_monomials(self) -> list[Monomial]:
-        return sorted(self.monomials, key=lambda m: (len(m), m))
+        """Tap tuples, taps ascending, monomials ordered by (size, taps)."""
+        monos = [tuple(t for t in range(m.bit_length()) if m >> t & 1) for m in self.masks]
+        return sorted(monos, key=lambda m: (len(m), m))
 
     def __str__(self) -> str:
         return format_anf(self)
 
 
-def _window_as_int(w, L: int) -> int:
-    if isinstance(w, int):
-        if w < 0 or w >> L:
-            raise ValueError(f"window {w!r} is not an L={L} bit vector")
-        return w
-    bits = list(w)
-    if len(bits) != L:
-        raise ValueError(f"window has {len(bits)} bits, expected {L}")
-    return sum((b & 1) << i for i, b in enumerate(bits))
-
-
-def evaluate(f: FilterFunction, w) -> int:
-    """Evaluate f on an L-bit window (int bitmask or bit sequence)."""
-    wi = _window_as_int(w, f.L)
+def evaluate(f: FilterFunction, w: int) -> int:
+    """Evaluate f on an L-bit window given as an int (bit t holds x_t)."""
+    if w < 0 or w >> f.L:
+        raise ValueError(f"window {w!r} is not an L={f.L} bit vector")
     out = 0
-    for mask in f._masks:
-        out ^= (wi & mask) == mask
+    for mask in f.masks:
+        out ^= (w & mask) == mask
     return out & 1
 
 
@@ -87,19 +76,6 @@ def filter_sequence(f: FilterFunction, gen: LfsrGenerator, length: int) -> list[
     return [evaluate(f, gen.window(n)) for n in range(length)]
 
 
-def monomials_of_degree(L: int, d: int) -> list[Monomial]:
-    """All size-d monomials in lexicographic order."""
-    return list(combinations(range(L), d))
-
-
-def lower_monomials(L: int, k: int) -> list[Monomial]:
-    """All monomials of size 1..k-1, degree-major then lexicographic."""
-    out: list[Monomial] = []
-    for d in range(1, k):
-        out.extend(monomials_of_degree(L, d))
-    return out
-
-
 def count_filters(L: int, k: int) -> int:
     """Exact size of the order-k filter space: (2^C(L,k) - 1) * 2^C(L,k-1) * ... * 2^C(L,1)."""
     if not 1 <= k <= L:
@@ -108,11 +84,17 @@ def count_filters(L: int, k: int) -> int:
     return ((1 << comb(L, k)) - 1) << lower
 
 
-def _from_masks(L: int, k: int, top_mask: int, low_mask: int,
-                top: Sequence[Monomial], low: Sequence[Monomial]) -> FilterFunction:
-    monos = [top[i] for i in range(len(top)) if top_mask >> i & 1]
-    monos += [low[i] for i in range(len(low)) if low_mask >> i & 1]
-    return FilterFunction(L, frozenset(monos))
+def _selectable_masks(L: int, k: int) -> tuple[list[tuple[int, int]], int]:
+    """Tap masks of every monomial of size 1..k, ascending, each with its selector bit.
+
+    A selector's low n_low bits pick the size 1..k-1 monomials (size-major,
+    then lexicographic in taps), the n_top bits above them the size-k ones
+    (lexicographic).  Returns the (mask, bit) pairs and n_low.
+    """
+    taps = [1 << t for t in range(L)]
+    low = [sum(c) for d in range(1, k) for c in combinations(taps, d)]
+    top = [sum(c) for c in combinations(taps, k)]
+    return sorted(zip(low + top, count())), len(low)
 
 
 def random_filter(L: int, k: int, rng) -> FilterFunction:
@@ -122,11 +104,11 @@ def random_filter(L: int, k: int, rng) -> FilterFunction:
     lower-degree monomial is included independently with probability 1/2.
     """
     count_filters(L, k)  # validates range
-    top = monomials_of_degree(L, k)
-    low = lower_monomials(L, k)
-    top_mask = rng.randrange(1, 1 << len(top))
-    low_mask = rng.getrandbits(len(low)) if low else 0
-    return _from_masks(L, k, top_mask, low_mask, top, low)
+    pool, n_low = _selectable_masks(L, k)
+    top_bits = rng.randrange(1, 1 << (len(pool) - n_low))
+    low_bits = rng.getrandbits(n_low) if n_low else 0
+    selector = top_bits << n_low | low_bits
+    return FilterFunction(L, tuple([m for m, bit in pool if selector >> bit & 1]))
 
 
 def enumerate_filters(L: int, k: int, start: int = 0, stop: int | None = None,
@@ -135,7 +117,8 @@ def enumerate_filters(L: int, k: int, start: int = 0, stop: int | None = None,
 
     Index layout: the degree-k subset bitmask ascends from 1 in the outer
     position, the lower-degree bitmask ascends from 0 inside, so slices
-    [start, stop) can be handed to parallel workers.
+    [start, stop) can be handed to parallel workers.  Index i is thus the
+    selector i + 2^n_low of _selectable_masks.
     """
     total = count_filters(L, k)
     if total > cap:
@@ -147,13 +130,12 @@ def enumerate_filters(L: int, k: int, start: int = 0, stop: int | None = None,
         stop = total
     if not 0 <= start <= stop <= total:
         raise ValueError(f"bad range [{start}, {stop}) for {total} filters")
-    top = monomials_of_degree(L, k)
-    low = lower_monomials(L, k)
-    n_low = 1 << len(low)
-    for idx in range(start, stop):
-        top_mask = idx // n_low + 1
-        low_mask = idx % n_low
-        yield _from_masks(L, k, top_mask, low_mask, top, low)
+    pool, n_low = _selectable_masks(L, k)
+    for selector in range(start + (1 << n_low), stop + (1 << n_low)):
+        # tuple() of a list, not of a generator: a generator's tuple is resized
+        # after allocation, which strands tuples on CPython's per-size free
+        # lists (+2 MB peak RSS over a census at L=5)
+        yield FilterFunction(L, tuple([m for m, bit in pool if selector >> bit & 1]))
 
 
 def parse_anf(text: str, L: int) -> FilterFunction:
@@ -161,7 +143,7 @@ def parse_anf(text: str, L: int) -> FilterFunction:
     squeezed = re.sub(r"\s+", "", text)
     if not squeezed:
         raise AnfParseError("empty filter expression")
-    monomials: list[Monomial] = []
+    monomials: list[list[int]] = []
     for term in squeezed.split("+"):
         if not term:
             raise AnfParseError("empty monomial (stray '+')")
@@ -173,16 +155,8 @@ def parse_anf(text: str, L: int) -> FilterFunction:
             if not m:
                 raise AnfParseError(f"bad tap {tok!r}, expected x<index>")
             taps.append(int(m.group(1)))
-        if len(set(taps)) != len(taps):
-            raise AnfParseError(f"duplicate tap in monomial {term!r}")
-        for t in taps:
-            if t >= L:
-                raise AnfParseError(f"tap x{t} out of range for L={L}")
-        mono = tuple(sorted(taps))
-        if mono in monomials:
-            raise AnfParseError(f"duplicate monomial {term!r}")
-        monomials.append(mono)
-    return FilterFunction(L, frozenset(monomials))
+        monomials.append(taps)
+    return filter_from_monomial_lists(L, monomials)
 
 
 def format_anf(f: FilterFunction) -> str:
@@ -195,5 +169,30 @@ def filter_to_monomial_lists(f: FilterFunction) -> list[list[int]]:
     return [list(m) for m in f.sorted_monomials()]
 
 
-def filter_from_monomial_lists(L: int, monomials: Iterable[Iterable[int]]) -> FilterFunction:
-    return FilterFunction(L, frozenset(tuple(sorted(m)) for m in monomials))
+def filter_from_monomial_lists(L: int, monomials: Iterable[list[int]]) -> FilterFunction:
+    """The one check on filters from outside the program: a list of tap lists.
+
+    Taps may come in any order within a monomial, monomials in any order.
+    Rejects non-list monomials, taps that are not ints (bools included) or
+    lie outside [0, L-1], a tap twice in a monomial and a monomial twice.
+    """
+    masks = set()
+    for taps in monomials:
+        if not isinstance(taps, list):
+            raise AnfParseError(f"monomial {taps!r} is not a list of taps")
+        if not taps:
+            raise AnfParseError("constant term not allowed in a filter")
+        for t in taps:
+            if not isinstance(t, int) or isinstance(t, bool):
+                raise AnfParseError(f"tap {t!r} is not an integer")
+        term = "*".join(f"x{t}" for t in taps)
+        if len(set(taps)) != len(taps):
+            raise AnfParseError(f"duplicate tap in monomial {term!r}")
+        for t in taps:
+            if not 0 <= t < L:
+                raise AnfParseError(f"tap x{t} out of range for L={L}")
+        mask = sum(1 << t for t in taps)
+        if mask in masks:
+            raise AnfParseError(f"duplicate monomial {term!r}")
+        masks.add(mask)
+    return FilterFunction(L, tuple(sorted(masks)))

@@ -3,8 +3,10 @@
 Exit codes form a small contract for scripting: 0 success, 1 for any
 validation problem (bad flag value, unknown length, non-primitive
 polynomial, malformed filter), 2 when an experiment ran fine but failed
-its comparison against the analytic prediction.  Big integers are emitted
-as decimal strings in JSON so no reader is forced through a float.
+its comparison against the analytic prediction, 3 when an internal
+self-check (spectrum, likelihood, field) fails, which is a bug in filtropt.
+Big integers are emitted as decimal strings in JSON so no reader is forced
+through a float.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ def _parse_filter(text: str, L: int) -> anf.FilterFunction:
         if text.lstrip().startswith("["):
             return anf.filter_from_monomial_lists(L, json.loads(text))
         return anf.parse_anf(text, L)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"--filter: {exc}") from None
 
 
@@ -219,16 +221,12 @@ def _run_experiment(args: argparse.Namespace, exhaustive: bool) -> int:
     if not 1 <= k <= ctx.L:
         raise CliError(f"--order must be in [1, {ctx.L}]")
     collect = args.csv_path is not None
-    try:
-        if exhaustive:
-            summary = experiment.run_exhaustive(ctx.L, k, ctx, jobs=args.jobs,
-                                                collect_records=collect)
-        else:
-            summary = experiment.run_monte_carlo(ctx.L, k, args.trials, args.seed,
-                                                 ctx, jobs=args.jobs,
-                                                 collect_records=collect)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    if exhaustive:
+        summary = experiment.run_exhaustive(ctx.L, k, ctx, jobs=args.jobs,
+                                            collect_records=collect)
+    else:
+        summary = experiment.run_monte_carlo(ctx.L, k, args.trials, args.seed,
+                                             ctx, jobs=args.jobs, collect_records=collect)
     report = likelihood.pr_report(ctx.L, k)
     verdict = experiment.compare(summary, report)
     if collect:
@@ -325,12 +323,12 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "length", None) is not None and args.length < 2:
             raise CliError("--length must be at least 2")
         return _HANDLERS[args.subcommand](args)
-    except CliError as exc:
+    except ValueError as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

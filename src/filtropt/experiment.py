@@ -110,7 +110,7 @@ class _SequenceLab:
     def filter_period_packed(self, f: FilterFunction) -> int:
         """One period of the filter output as a packed int."""
         out = 0
-        for mask in f._masks:
+        for mask in f.masks:
             out ^= self._vector(mask)
         return out
 
@@ -168,7 +168,9 @@ def _measure(ctx: FieldContext, k: int, seed: int | None, total: int, jobs: int,
     At most min(jobs, total, cpu count) worker processes; the split never
     changes the result.
     """
-    workers = max(1, min(jobs, total, os.cpu_count() or 1))
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, total, os.cpu_count() or 1)
     step = (total + workers - 1) // workers
     chunks = [(ctx, k, seed, lo, min(lo + step, total), collect)
               for lo in range(0, total, step)]

@@ -1,7 +1,10 @@
+import json
 import math
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from filtropt import (FilterFunction, LfsrGenerator, berlekamp_massey, context_for,
                       count_filters, enumerate_filters, evaluate, filter_sequence,
@@ -11,32 +14,33 @@ from filtropt.anf import (AnfParseError, filter_from_monomial_lists,
 
 
 def F(L, *monomials):
-    return FilterFunction(L, frozenset(monomials))
+    return filter_from_monomial_lists(L, [list(m) for m in monomials])
 
 
 def test_evaluate_examples():
-    assert evaluate(F(3, (0,)), (1, 0, 1)) == 1
-    assert evaluate(F(3, (0, 1)), (1, 0, 0)) == 0
-    assert evaluate(F(2, (0,), (0, 1)), (1, 1)) == 0
-    assert evaluate(F(3, (0,)), 0b101) == 1  # int windows too
+    assert evaluate(F(3, (0,)), 0b101) == 1
+    assert evaluate(F(3, (0, 1)), 0b001) == 0
+    assert evaluate(F(2, (0,), (0, 1)), 0b11) == 0
 
 
 def test_evaluate_rejects_bad_window():
     with pytest.raises(ValueError):
-        evaluate(F(3, (0,)), (1, 0))
+        evaluate(F(3, (0,)), -1)
     with pytest.raises(ValueError):
         evaluate(F(3, (0,)), 0b1000)
 
 
 def test_invariants_enforced():
     with pytest.raises(ValueError):
-        FilterFunction(3, frozenset())
+        FilterFunction(3, ())
     with pytest.raises(ValueError):
-        F(3, ())
+        FilterFunction(3, (0,))
     with pytest.raises(ValueError):
-        F(3, (0, 3))
+        FilterFunction(3, (0b1001,))
     with pytest.raises(ValueError):
-        F(3, (1, 0))
+        FilterFunction(3, (0b10, 0b01))
+    with pytest.raises(ValueError):
+        FilterFunction(3, (0b01, 0b01))
 
 
 def test_order_is_max_monomial_size():
@@ -86,7 +90,7 @@ def test_enumeration_matches_count_and_is_duplicate_free(L, k):
     seen = set()
     for f in enumerate_filters(L, k):
         assert f.k == k
-        seen.add(f.monomials)
+        seen.add(f.masks)
     assert len(seen) == count_filters(L, k)
 
 
@@ -95,11 +99,26 @@ def test_enumeration_l2_k1_explicit():
     assert got == ["x0", "x0 + x1", "x1"]
 
 
+@pytest.mark.parametrize("L,k", [(4, 2), (3, 3)])
+def test_enumeration_follows_index_layout(L, k):
+    # index = (degree-k subset - 1) * 2^n_low + lower-degree subset, each
+    # subset a bitmask over combinations() order, lower degrees degree-major
+    top = list(combinations(range(L), k))
+    low = [m for d in range(1, k) for m in combinations(range(L), d)]
+    expected = []
+    for top_bits in range(1, 1 << len(top)):
+        for low_bits in range(1 << len(low)):
+            monos = [m for i, m in enumerate(top) if top_bits >> i & 1]
+            monos += [m for i, m in enumerate(low) if low_bits >> i & 1]
+            expected.append(F(L, *monos))
+    assert list(enumerate_filters(L, k)) == expected
+
+
 def test_enumeration_range_splitting():
     total = count_filters(4, 2)
-    whole = [f.monomials for f in enumerate_filters(4, 2)]
-    split = [f.monomials for f in enumerate_filters(4, 2, 0, total // 3)]
-    split += [f.monomials for f in enumerate_filters(4, 2, total // 3, total)]
+    whole = [f.masks for f in enumerate_filters(4, 2)]
+    split = [f.masks for f in enumerate_filters(4, 2, 0, total // 3)]
+    split += [f.masks for f in enumerate_filters(4, 2, total // 3, total)]
     assert whole == split
 
 
@@ -120,13 +139,28 @@ def test_random_filter_invariants_and_determinism():
         assert random_filter(6, 3, rng).k == 3
 
 
+# draws captured while filters were still stored as tap tuples; a change here
+# changes every Monte Carlo record
+@pytest.mark.parametrize("L,k,seed,text", [
+    (4, 2, 0, "x1 + x2 + x0*x1 + x0*x2 + x0*x3 + x1*x3 + x2*x3"),
+    (5, 3, 7, "x0 + x1 + x4 + x0*x2 + x0*x4 + x1*x4 + x2*x3 + x2*x4 + x3*x4"
+              " + x0*x1*x4 + x0*x2*x3 + x1*x2*x3 + x1*x3*x4"),
+    (6, 1, 11, "x0 + x2 + x3 + x4"),
+    (8, 2, 5, "x0 + x6 + x0*x1 + x0*x3 + x0*x7 + x1*x2 + x1*x3 + x1*x4 + x1*x5"
+              " + x2*x3 + x2*x4 + x2*x6 + x2*x7 + x3*x4 + x3*x6 + x3*x7 + x4*x5"
+              " + x4*x6 + x4*x7 + x6*x7"),
+])
+def test_random_filter_draws_are_pinned(L, k, seed, text):
+    assert format_anf(random_filter(L, k, random.Random(seed))) == text
+
+
 def test_random_filter_uniform_over_space():
     # 56000 draws over the 56 functions at (3,2): each lands 1000 +- 5 sigma
     rng = random.Random(20000)
     counts = {}
     for _ in range(56000):
         f = random_filter(3, 2, rng)
-        counts[f.monomials] = counts.get(f.monomials, 0) + 1
+        counts[f.masks] = counts.get(f.masks, 0) + 1
     assert len(counts) == 56
     sigma = math.sqrt(56000 * (1 / 56) * (55 / 56))
     for c in counts.values():
@@ -138,19 +172,19 @@ def test_xor_linearity_in_monomial_set():
     for _ in range(50):
         fa = random_filter(6, 3, rng)
         fb = random_filter(6, 2, rng)
-        sym = fa.monomials ^ fb.monomials
+        sym = set(fa.masks) ^ set(fb.masks)
         if not sym:
             continue
-        fc = FilterFunction(6, sym)
+        fc = FilterFunction(6, tuple(sorted(sym)))
         w = rng.randrange(1 << 6)
         assert evaluate(fc, w) == evaluate(fa, w) ^ evaluate(fb, w)
 
 
 def test_parse_anf_basics():
     f = parse_anf("x0 + x1*x3", 5)
-    assert f.monomials == frozenset({(0,), (1, 3)})
+    assert f.masks == (0b0001, 0b1010)
     assert f.k == 2
-    assert parse_anf(" x2 * x0 ", 3).monomials == frozenset({(0, 2)})
+    assert parse_anf(" x2 * x0 ", 3).masks == (0b101,)
 
 
 def test_parse_anf_distinct_errors():
@@ -185,3 +219,40 @@ def test_json_monomial_lists_round_trip():
     lists = filter_to_monomial_lists(f)
     assert lists == [[0], [1, 3]]
     assert filter_from_monomial_lists(5, lists) == f
+
+
+def test_monomial_lists_reject_bad_taps():
+    for bad, needle in [([[0], [0], [1]], "duplicate monomial"),
+                        ([[1, 0], [0, 1]], "duplicate monomial"),
+                        ([[0, 0]], "duplicate tap"),
+                        ([[0, 1.5]], "not an integer"),
+                        ([["a"]], "not an integer"),
+                        ([[True], [2]], "not an integer"),
+                        ([1], "not a list"),
+                        ([[3]], "out of range"),
+                        ([[-1]], "out of range"),
+                        ([[]], "constant term")]:
+        with pytest.raises(AnfParseError, match=needle):
+            filter_from_monomial_lists(3, bad)
+    with pytest.raises(ValueError, match="at least one monomial"):
+        filter_from_monomial_lists(3, [])
+
+
+@st.composite
+def filters(draw):
+    L = draw(st.integers(1, 8))
+    masks = draw(st.sets(st.integers(1, (1 << L) - 1), min_size=1, max_size=12))
+    return FilterFunction(L, tuple(sorted(masks)))
+
+
+@given(filters(), st.randoms(use_true_random=False))
+def test_text_and_json_round_trips_ignore_order(f, rng):
+    assert parse_anf(format_anf(f), f.L) == f
+    lists = json.loads(json.dumps(filter_to_monomial_lists(f)))
+    assert filter_from_monomial_lists(f.L, lists) == f
+    for taps in lists:
+        rng.shuffle(taps)
+    rng.shuffle(lists)
+    assert filter_from_monomial_lists(f.L, lists) == f
+    text = " + ".join("*".join(f"x{t}" for t in taps) for taps in lists)
+    assert parse_anf(text, f.L) == f

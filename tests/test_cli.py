@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from filtropt import cli, experiment, polytable
+from filtropt import cli, experiment, polytable, spectral
 
 
 def run(capsys, *argv):
@@ -109,6 +109,14 @@ def test_unknown_length_rejected(capsys):
     (["sample", "-L", "5", "-k", "2", "--trials", "3", "--seed", str(1 << 127)], "seed"),
     (["prob", "-L", "7", "-k", "3", "--digits", "-5"], "digits"),
     (["prob", "-L", "7", "-k", "3", "--digits", "0"], "digits"),
+    (["analyze", "-L", "5", "--filter", "[[0],[0],[1]]"], "duplicate monomial"),
+    (["analyze", "-L", "5", "--filter", "[[0,1.5]]"], "not an integer"),
+    (["analyze", "-L", "5", "--filter", '[["a"]]'], "not an integer"),
+    (["analyze", "-L", "5", "--filter", "[1]"], "not a list"),
+    (["analyze", "-L", "5", "--filter", "[[true],[2]]"], "not an integer"),
+    (["analyze", "-L", "5", "--filter", "[" * 100_000], "recursion"),
+    (["sample", "-L", "4", "-k", "2", "--trials", "5", "--jobs", "-3"], "jobs"),
+    (["enumerate", "-L", "3", "-k", "2", "--jobs", "0"], "jobs"),
 ])
 def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
@@ -116,6 +124,17 @@ def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
+
+
+def test_internal_check_failure_exits_3(capsys, monkeypatch):
+    def broken_dft(z, ctx):
+        raise AssertionError("conjugate sum escaped GF(2); spectrum is inconsistent")
+
+    monkeypatch.setattr(spectral, "dft", broken_dft)
+    code, out, err = run(capsys, "analyze", "-L", "5", "--filter", "x0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("content", [None, "not json", '{"5": {"poly": "25"}}', "[1, 2]"])
