@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, count
 from math import comb
 from typing import Iterable, Iterator
@@ -84,17 +85,19 @@ def count_filters(L: int, k: int) -> int:
     return ((1 << comb(L, k)) - 1) << lower
 
 
-def _selectable_masks(L: int, k: int) -> tuple[list[tuple[int, int]], int]:
+@lru_cache(maxsize=8)
+def _selectable_masks(L: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Tap masks of every monomial of size 1..k, ascending, each with its selector bit.
 
     A selector's low n_low bits pick the size 1..k-1 monomials (size-major,
     then lexicographic in taps), the n_top bits above them the size-k ones
-    (lexicographic).  Returns the (mask, bit) pairs and n_low.
+    (lexicographic).  Returns the (mask, bit) pairs and n_low; cached, since
+    every draw and census chunk at one (L, k) shares the pool.
     """
     taps = [1 << t for t in range(L)]
     low = [sum(c) for d in range(1, k) for c in combinations(taps, d)]
     top = [sum(c) for c in combinations(taps, k)]
-    return sorted(zip(low + top, count())), len(low)
+    return tuple(sorted(zip(low + top, count()))), len(low)
 
 
 def random_filter(L: int, k: int, rng) -> FilterFunction:

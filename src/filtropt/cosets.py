@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
 
-from .complexity import _divisors
-
 ENUMERATION_MAX_L = 20
 
 
@@ -114,6 +112,18 @@ def _mobius(n: int) -> int:
     if n > 1:
         mu = -mu
     return mu
+
+
+def _divisors(n: int) -> list[int]:
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def cardinal_counts(L: int, k: int) -> dict[int, int]:

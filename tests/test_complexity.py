@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from filtropt import (LfsrGenerator, berlekamp_massey, context_for,
-                      linear_complexity_periodic, min_period)
+                      linear_complexity_periodic, min_period, random_filter)
 from filtropt.complexity import (berlekamp_massey_packed, bits_to_int,
                                  min_period_packed, periodic_lc_packed,
                                  regenerates)
+from filtropt.experiment import _SequenceLab
 
 from oracles import brute_force_lfsr_length, naive_min_period, reciprocal
 
@@ -115,3 +117,64 @@ def test_minimal_poly_degree_tracks_lc_when_oldest_tap_used():
     bits = LfsrGenerator(context_for(4)).output_bits(30)
     r = berlekamp_massey(bits)
     assert r.minimal_poly.bit_length() - 1 == r.lc
+
+
+@pytest.mark.parametrize("measure", [periodic_lc_packed, min_period_packed])
+@pytest.mark.parametrize("z, period", [(7, 0), (0, 0), (1, -3), (-5, 3), (0b1111, 2)])
+def test_packed_measurements_reject_bad_period(measure, z, period):
+    with pytest.raises(ValueError):
+        measure(z, period)
+
+
+def _bits(z, n):
+    return [z >> i & 1 for i in range(n)]
+
+
+def _assert_packed_match_oracles(z, n):
+    bits = _bits(z, n)
+    assert periodic_lc_packed(z, n) == linear_complexity_periodic(bits)
+    assert min_period_packed(z, n) == naive_min_period(bits)
+
+
+# Lengths up to 1100 span one to nine Berlekamp-Massey blocks of the doubled
+# period and include 2^L - 1 (L <= 10) as well as lengths of every other shape.
+_lengths = st.integers(1, 1100)
+
+
+@given(st.data(), _lengths)
+def test_packed_match_oracles_on_random_strings(data, n):
+    # lc near n: the certificate never fires and every block is read
+    _assert_packed_match_oracles(data.draw(st.integers(0, (1 << n) - 1)), n)
+
+
+@given(st.data(), _lengths, st.randoms(use_true_random=False))
+def test_packed_match_oracles_on_short_periods(data, n, rng):
+    # every divisor d of n, optionally with one bit flipped: a long
+    # low-complexity prefix whose connection polynomial then fails the
+    # certificate once before the flip is read
+    flip = data.draw(st.none() | st.integers(0, n - 1))
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        block = rng.getrandbits(d)
+        z = sum(block << s for s in range(0, n, d))
+        if flip is not None:
+            z ^= 1 << flip
+        _assert_packed_match_oracles(z, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 255, 600, 1023, 1100])
+def test_packed_match_oracles_on_constant_and_single_one(n):
+    for z in (0, (1 << n) - 1, 1, 1 << (n - 1), 1 << (n // 2)):
+        _assert_packed_match_oracles(z, n)
+
+
+@given(st.integers(6, 10), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_periodic_lc_packed_matches_full_bm_on_filter_outputs(L, k, rng):
+    ctx = context_for(L)
+    lab = _SequenceLab(ctx)
+    z = lab.filter_period_packed(random_filter(L, k, rng))
+    assert periodic_lc_packed(z, ctx.order) == linear_complexity_periodic(_bits(z, ctx.order))
+
+
+def test_packed_match_oracles_exhaustive_period_15():
+    for z in range(1 << 15):
+        _assert_packed_match_oracles(z, 15)
