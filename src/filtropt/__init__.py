@@ -2,7 +2,8 @@
 
 Builds GF(2^L) over verified primitive polynomials, runs maximal-length
 LFSRs through order-k ANF filters, measures linear complexity and period
-(Berlekamp-Massey and exact minimal period), cross-checks both against the
+(one GF(2)[x] gcd per period, with Berlekamp-Massey for explicit bit
+strings, and the exact minimal period), cross-checks both against the
 coset spectrum of the output, and evaluates exact and high-precision
 formulas for the probability that a uniformly chosen filter attains the
 maximum complexity nk(L, k) and full period 2^L - 1.

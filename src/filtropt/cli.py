@@ -2,11 +2,11 @@
 
 Exit codes form a small contract for scripting: 0 success, 1 for any
 validation problem (bad flag value, unknown length, non-primitive
-polynomial, malformed filter), 2 when an experiment ran fine but failed
-its comparison against the analytic prediction, 3 when an internal
-self-check (spectrum, likelihood, field) fails, which is a bug in filtropt.
-Big integers are emitted as decimal strings in JSON so no reader is forced
-through a float.
+polynomial, malformed filter) or a file that cannot be read or written,
+2 when an experiment ran fine but failed its comparison against the
+analytic prediction, 3 when an internal self-check (spectrum, likelihood,
+field) fails, which is a bug in filtropt.  Big integers are emitted as
+decimal strings in JSON so no reader is forced through a float.
 """
 from __future__ import annotations
 
@@ -323,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "length", None) is not None and args.length < 2:
             raise CliError("--length must be at least 2")
         return _HANDLERS[args.subcommand](args)
-    except ValueError as exc:  # CliError included
+    except (ValueError, OSError) as exc:  # CliError included; OSError: --out/--csv
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -8,23 +8,21 @@ of the minimal LFSR is zero (e.g. a prefix of leading zeros); lc is the
 register length, the recurrence check below treats missing high taps as
 zero coefficients.
 
-The periodic measurements stop as soon as the answer is certified, with no
-appeal to the filter theory they are compared against:
+The periodic measurements use no filter theory:
 
-- periodic_lc_packed feeds the doubled period to Berlekamp-Massey in blocks
-  and returns once the current connection polynomial annihilates the whole
-  cyclic period (the xor of the period rotated by each of its taps is
-  zero).  Any LFSR of the infinite sequence also generates the prefix, so
-  lc is at least the prefix lc; one that regenerates the period bounds it
-  from above.  Massey (1969): the prefix settles after 2*lc bits, so on
-  low-complexity outputs most of the 2N bits are never read.
+- periodic_lc_packed is N - deg gcd(x^N - 1, z(x)), where z(x) is the sum
+  of z_n x^n over one period of N bits (Ding, Xiao & Shan, The Stability
+  Theory of Stream Ciphers, 1991): the generating function of the periodic
+  sequence is z(x) / (1 - x^N), and in lowest terms its denominator
+  (x^N - 1) / gcd is the minimal connection polynomial.  The gcd is
+  Euclid's algorithm on GF(2) polynomials held as ints.
 - min_period_packed descends from the length over its prime factors,
   dividing by p while the period is invariant under rotation by P/p: one
   rotation test per prime factor removed, plus one per distinct prime,
   instead of one per divisor.
 
 linear_complexity_periodic keeps full 2p-bit Berlekamp-Massey as the
-reference the certified kernel is tested against.
+reference the gcd kernel is tested against; the two share no code.
 """
 from __future__ import annotations
 
@@ -48,7 +46,7 @@ def bits_to_int(bits: Sequence[int]) -> int:
     return sum((b & 1) << n for n, b in enumerate(bits))
 
 
-_BM_BLOCK = 256  # bits fed to Berlekamp-Massey between certificate checks
+_BM_BLOCK = 256  # bits fed to each _bm_feed call, so no step shifts the whole input
 _BM_MASK = (1 << _BM_BLOCK) - 1
 _BM_START = (1, 1, 0, -1, 0)  # (c, b, lc, m, rev) before any bit
 
@@ -107,39 +105,17 @@ def _check_period(z: int, period: int) -> None:
 def periodic_lc_packed(z: int, period: int) -> int:
     """Linear complexity of the periodic extension of a packed period.
 
-    The certificate (module docstring) is tried after each block that left
-    the connection polynomial c unchanged with n >= 2*lc bits read; a c
-    that fails it is not tried again.
+    Euclid's algorithm on x^N + 1 and z(x); the gcd g leaves lc = N - deg g,
+    and 0 for the zero sequence (g = x^N + 1).
     """
     _check_period(z, period)
-    doubled = z | z << period
-    total = 2 * period
-    if total <= _BM_BLOCK:
-        return _bm_feed(_BM_START, doubled, 0, total)[2]
-    state = _BM_START
-    tested = 0  # no connection polynomial is 0
-    for n in range(0, total, _BM_BLOCK):
-        stop = min(n + _BM_BLOCK, total)
-        before = state[0]
-        state = _bm_feed(state, doubled >> n & _BM_MASK, n, stop)
-        c, lc = state[0], state[2]
-        if stop < total and c == before and c != tested and stop >= 2 * lc:
-            if _annihilates(doubled, period, c):
-                return lc
-            tested = c
-    return state[2]
-
-
-def _annihilates(doubled: int, period: int, c: int) -> bool:
-    """Whether c's recurrence holds at every position of the cyclic period.
-
-    doubled >> (period - i) holds z rotated by i in its low period bits.
-    """
-    acc = 0
-    for i in range(c.bit_length()):
-        if c >> i & 1:
-            acc ^= doubled >> (period - i)
-    return not acc & ((1 << period) - 1)
+    a, b = (1 << period) | 1, z
+    while b:
+        blen = b.bit_length()
+        while (shift := a.bit_length() - blen) >= 0:
+            a ^= b << shift
+        a, b = b, a
+    return period + 1 - a.bit_length()
 
 
 def min_period(bits: Sequence[int]) -> int:

@@ -141,7 +141,7 @@ def cardinal_counts(L: int, k: int) -> dict[int, int]:
 
     def fixed(d: int) -> int:
         rep = L // d
-        return sum(comb(d, b) for b in range(1, d + 1) if b * rep <= k)
+        return sum(comb(d, b) for b in range(1, min(d, k // rep) + 1))
 
     counts: dict[int, int] = {}
     for d in divs:

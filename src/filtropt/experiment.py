@@ -1,9 +1,9 @@
 """Empirical census and Monte Carlo measurement of filter quality.
 
-Every trial builds one period of the filtered sequence, measures linear
-complexity with periodic Berlekamp-Massey and the exact minimal period,
-and counts how many filters reach the ceiling nk(L, k) and the full period
-2^L - 1.  Exhaustive mode walks the whole filter space; Monte Carlo mode
+Every trial builds one period of the filtered sequence, measures its linear
+complexity (one GF(2)[x] gcd) and its exact minimal period, and counts how
+many filters reach the ceiling nk(L, k) and the full period 2^L - 1.
+Exhaustive mode walks the whole filter space; Monte Carlo mode
 draws uniformly with a per-trial generator seeded by a counter-based mix
 (blake2b over master seed and trial index), so results are bit-identical
 for a given (L, k, seed, trials) no matter how trials are scheduled or how
@@ -85,8 +85,9 @@ class _SequenceLab:
     """The one producer of filter output: windows and monomial value vectors.
 
     A period of output is a packed int with z_n at bit n, the xor of one
-    cached value vector per monomial.  This is also where sequence work is
-    capped at DESK_MAX_L.
+    cached value vector per monomial.  A monomial's vector is the AND of its
+    taps' vectors, since its value is the product of those window bits.
+    This is also where sequence work is capped at DESK_MAX_L.
     """
 
     def __init__(self, ctx: FieldContext, initial_state: int = 1):
@@ -96,14 +97,19 @@ class _SequenceLab:
                 f"(analytic reports remain available for any L)")
         self.ctx = ctx
         self.period = ctx.order
-        self._windows = window_table(ctx, initial_state)
+        windows = window_table(ctx, initial_state)
+        self._ones = (1 << self.period) - 1
+        self._taps = [int.from_bytes(np.packbits(windows >> t & 1, bitorder="little").tobytes(),
+                                     "little") for t in range(ctx.L)]
         self._vectors: dict[int, int] = {}
 
     def _vector(self, mask: int) -> int:
         vec = self._vectors.get(mask)
         if vec is None:
-            hits = (self._windows & mask) == mask
-            vec = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
+            vec = self._ones
+            for t, tap in enumerate(self._taps):
+                if mask >> t & 1:
+                    vec &= tap
             self._vectors[mask] = vec
         return vec
 

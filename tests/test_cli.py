@@ -117,6 +117,11 @@ def test_unknown_length_rejected(capsys):
     (["analyze", "-L", "5", "--filter", "[" * 100_000], "recursion"),
     (["sample", "-L", "4", "-k", "2", "--trials", "5", "--jobs", "-3"], "jobs"),
     (["enumerate", "-L", "3", "-k", "2", "--jobs", "0"], "jobs"),
+    (["sample", "-L", "5", "-k", "2", "--trials", "5", "--out", "/nonexistent/dir/x"],
+     "/nonexistent/dir/x"),
+    (["sample", "-L", "5", "-k", "2", "--trials", "5", "--csv", "/nonexistent/x.csv"],
+     "/nonexistent/x.csv"),
+    (["prob", "-L", "5", "-k", "2", "--digits", "100000"], "digits"),
 ])
 def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
     code, out, err = run(capsys, *argv)

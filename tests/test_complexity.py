@@ -136,22 +136,22 @@ def _assert_packed_match_oracles(z, n):
     assert min_period_packed(z, n) == naive_min_period(bits)
 
 
-# Lengths up to 1100 span one to nine Berlekamp-Massey blocks of the doubled
-# period and include 2^L - 1 (L <= 10) as well as lengths of every other shape.
+# Lengths up to 1100 span one to eighteen 64-bit words of the period and
+# include 2^L - 1 (L <= 10) as well as lengths of every other shape.
 _lengths = st.integers(1, 1100)
 
 
 @given(st.data(), _lengths)
 def test_packed_match_oracles_on_random_strings(data, n):
-    # lc near n: the certificate never fires and every block is read
+    # lc near n: the gcd has low degree and Euclid runs its longest remainder chain
     _assert_packed_match_oracles(data.draw(st.integers(0, (1 << n) - 1)), n)
 
 
 @given(st.data(), _lengths, st.randoms(use_true_random=False))
 def test_packed_match_oracles_on_short_periods(data, n, rng):
-    # every divisor d of n, optionally with one bit flipped: a long
-    # low-complexity prefix whose connection polynomial then fails the
-    # certificate once before the flip is read
+    # every divisor d of n, optionally with one bit flipped: a period-d
+    # repeat shares the factor (x^n - 1) / (x^d - 1) with x^n - 1, so its
+    # gcd has high degree, and the flip perturbs it into a near miss
     flip = data.draw(st.none() | st.integers(0, n - 1))
     for d in (d for d in range(1, n + 1) if n % d == 0):
         block = rng.getrandbits(d)
@@ -173,6 +173,26 @@ def test_periodic_lc_packed_matches_full_bm_on_filter_outputs(L, k, rng):
     lab = _SequenceLab(ctx)
     z = lab.filter_period_packed(random_filter(L, k, rng))
     assert periodic_lc_packed(z, ctx.order) == linear_complexity_periodic(_bits(z, ctx.order))
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_packed_match_oracles_at_word_boundaries(n):
+    # periods of a whole number of 64-bit words, and one bit either side,
+    # with the top bit set so the period's top word is never empty
+    rng = random.Random(n)
+    top = 1 << (n - 1)
+    for _ in range(20):
+        _assert_packed_match_oracles(rng.getrandbits(n) | top, n)
+    for d in (1, 3, 7):  # low-complexity repeats cut to n bits, top bit set
+        block = rng.getrandbits(d) | 1
+        z = sum(block << s for s in range(0, n, d)) & ((1 << n) - 1)
+        _assert_packed_match_oracles(z | top, n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_packed_match_oracles_exhaustive_short_periods(n):
+    for z in range(1 << n):
+        _assert_packed_match_oracles(z, n)
 
 
 def test_packed_match_oracles_exhaustive_period_15():

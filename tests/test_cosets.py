@@ -4,7 +4,7 @@ import pytest
 
 from filtropt import (cardinal_counts, coset_of, coset_period, cosets_up_to_weight,
                       nk)
-from filtropt.cosets import constant_coset, coset_count
+from filtropt.cosets import _divisors, _mobius, constant_coset, coset_count
 
 
 def test_coset_of_examples():
@@ -110,6 +110,35 @@ def test_cardinal_counts_large_composite_length():
     counts = cardinal_counts(24, 3)
     assert sum(d * c for d, c in counts.items()) == nk(24, 3)
     assert all(24 % d == 0 for d in counts)
+
+
+def _cardinal_counts_unbounded(L, k):
+    # the same Moebius inversion, with the block weight b running over all
+    # of 1..d and the blocks too heavy for weight k filtered out
+    def fixed(d):
+        rep = L // d
+        return sum(comb(d, b) for b in range(1, d + 1) if b * rep <= k)
+
+    counts = {}
+    for d in _divisors(L):
+        g = sum(_mobius(d // dd) * fixed(dd) for dd in _divisors(d))
+        if g:
+            counts[d] = g // d
+    return counts
+
+
+def test_cardinal_counts_bounded_range_matches_unbounded():
+    for L in range(2, 49):
+        for k in range(1, L + 1):
+            assert cardinal_counts(L, k) == _cardinal_counts_unbounded(L, k), (L, k)
+
+
+def test_cardinal_counts_huge_length():
+    # 10^8 has 81 divisors; the block-weight sums stop at k // rep
+    L = 10**8
+    counts = cardinal_counts(L, 3)
+    assert sum(d * c for d, c in counts.items()) == nk(L, 3)
+    assert all(L % d == 0 for d in counts)
 
 
 def test_enumeration_cap():
