@@ -11,17 +11,15 @@ maximum complexity nk(L, k) and full period 2^L - 1.
 
 from .anf import (FilterFunction, count_filters, enumerate_filters, evaluate,
                   filter_sequence, format_anf, parse_anf, random_filter)
-from .complexity import (ComplexityResult, berlekamp_massey,
-                         linear_complexity_periodic, min_period)
+from .complexity import linear_complexity_periodic, min_period
 from .cosets import (CyclotomicCoset, cardinal_counts, coset_of, coset_period,
                      cosets_up_to_weight, nk)
 from .field import FieldContext, FieldElement, is_primitive
-from .lfsr import LfsrGenerator, trace_consistency, window_table
+from .lfsr import trace_consistency, window_table
 from .likelihood import LikelihoodReport, ln_probability_parts, nfm, pr_exact, pr_report
 from .polytable import context_for, polynomial_for, supported_lengths
 from .spectral import (SpectralLine, Spectrum, dft, lc_from_spectrum,
-                       period_from_spectrum, reconstruct, reconstruct_period,
-                       verify_subfield)
+                       period_from_spectrum, reconstruct_period, verify_subfield)
 from .experiment import (ExperimentSummary, TrialRecord, Verdict, compare,
                          run_exhaustive, run_monte_carlo, wilson_interval)
 
@@ -29,14 +27,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldContext", "FieldElement", "is_primitive",
-    "LfsrGenerator", "trace_consistency", "window_table",
+    "trace_consistency", "window_table",
     "FilterFunction", "evaluate", "filter_sequence", "count_filters",
     "random_filter", "enumerate_filters", "parse_anf", "format_anf",
     "CyclotomicCoset", "coset_of", "cosets_up_to_weight", "nk",
     "coset_period", "cardinal_counts",
-    "ComplexityResult", "berlekamp_massey", "linear_complexity_periodic",
-    "min_period",
-    "SpectralLine", "Spectrum", "dft", "reconstruct", "reconstruct_period",
+    "linear_complexity_periodic", "min_period",
+    "SpectralLine", "Spectrum", "dft", "reconstruct_period",
     "verify_subfield", "lc_from_spectrum", "period_from_spectrum",
     "LikelihoodReport", "nfm", "pr_exact", "pr_report", "ln_probability_parts",
     "ExperimentSummary", "TrialRecord", "Verdict", "run_exhaustive",

@@ -18,11 +18,12 @@ from itertools import combinations, count
 from math import comb
 from typing import Iterable, Iterator
 
-from .lfsr import LfsrGenerator
+from .field import FieldContext
+from .lfsr import window_table
 
 Monomial = tuple[int, ...]
 
-DEFAULT_ENUMERATION_CAP = 1 << 24
+ENUMERATION_CAP = 1 << 24
 _TAP_RE = re.compile(r"^x(\d+)$")
 
 
@@ -70,11 +71,11 @@ def evaluate(f: FilterFunction, w: int) -> int:
     return out & 1
 
 
-def filter_sequence(f: FilterFunction, gen: LfsrGenerator, length: int) -> list[int]:
-    """z_n = f(a_n, ..., a_(n+L-1)) for n = 0..length-1."""
-    if f.L != gen.ctx.L:
-        raise ValueError(f"filter has L={f.L} but generator has L={gen.ctx.L}")
-    return [evaluate(f, gen.window(n)) for n in range(length)]
+def filter_sequence(f: FilterFunction, ctx: FieldContext, initial_state: int = 1) -> list[int]:
+    """z_n = f(a_n, ..., a_(n+L-1)) over one period: the per-bit reference."""
+    if f.L != ctx.L:
+        raise ValueError(f"filter has L={f.L} but the field has L={ctx.L}")
+    return [evaluate(f, w) for w in window_table(ctx, initial_state).tolist()]
 
 
 def count_filters(L: int, k: int) -> int:
@@ -83,6 +84,17 @@ def count_filters(L: int, k: int) -> int:
         raise ValueError(f"order k={k} outside [1, {L}]")
     lower = sum(comb(L, d) for d in range(1, k))
     return ((1 << comb(L, k)) - 1) << lower
+
+
+def census_size(L: int, k: int) -> int:
+    """count_filters(L, k), refused past ENUMERATION_CAP: the one cap on a census."""
+    total = count_filters(L, k)
+    if total > ENUMERATION_CAP:
+        # count written as a power of two: it can be too big even to print
+        raise ValueError(
+            f"census of about 2^{total.bit_length() - 1} filters exceeds the cap "
+            f"of {ENUMERATION_CAP}; use run_monte_carlo instead")
+    return total
 
 
 @lru_cache(maxsize=8)
@@ -114,8 +126,8 @@ def random_filter(L: int, k: int, rng) -> FilterFunction:
     return FilterFunction(L, tuple([m for m, bit in pool if selector >> bit & 1]))
 
 
-def enumerate_filters(L: int, k: int, start: int = 0, stop: int | None = None,
-                      cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[FilterFunction]:
+def enumerate_filters(L: int, k: int, start: int = 0,
+                      stop: int | None = None) -> Iterator[FilterFunction]:
     """Yield every order-k filter exactly once, in a stable indexable order.
 
     Index layout: the degree-k subset bitmask ascends from 1 in the outer
@@ -123,12 +135,7 @@ def enumerate_filters(L: int, k: int, start: int = 0, stop: int | None = None,
     [start, stop) can be handed to parallel workers.  Index i is thus the
     selector i + 2^n_low of _selectable_masks.
     """
-    total = count_filters(L, k)
-    if total > cap:
-        # count written as a power of two: it can be too big even to print
-        raise ValueError(
-            f"enumeration of about 2^{total.bit_length() - 1} filters exceeds "
-            f"the cap of {cap}; raise the cap explicitly or use sampling")
+    total = census_size(L, k)
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:

@@ -125,10 +125,8 @@ def cmd_lc(args: argparse.Namespace) -> int:
     text = "".join(text.split())
     if not text or set(text) - {"0", "1"}:
         raise CliError("--bits expects a nonempty string of 0s and 1s (or @file)")
-    bits = [int(ch) for ch in text]
-    result = complexity.berlekamp_massey(bits)
-    payload = {"length": len(bits), "lc": result.lc,
-               "minimal_poly": f"0x{result.minimal_poly:x}"}
+    lc, poly = complexity.berlekamp_massey_packed(int(text[::-1], 2), len(text))
+    payload = {"length": len(text), "lc": lc, "minimal_poly": f"0x{poly:x}"}
     _emit(payload, args)
     return 0
 

@@ -5,8 +5,7 @@ int bitmask (bit i = coefficient of x^i, constant term always set), which
 makes the discrepancy a single masked popcount per step.  The connection
 polynomial's degree can fall below the register length when the oldest tap
 of the minimal LFSR is zero (e.g. a prefix of leading zeros); lc is the
-register length, the recurrence check below treats missing high taps as
-zero coefficients.
+register length, and the missing high taps are zero coefficients.
 
 The periodic measurements use no filter theory:
 
@@ -15,7 +14,7 @@ The periodic measurements use no filter theory:
   Theory of Stream Ciphers, 1991): the generating function of the periodic
   sequence is z(x) / (1 - x^N), and in lowest terms its denominator
   (x^N - 1) / gcd is the minimal connection polynomial.  The gcd is
-  Euclid's algorithm on GF(2) polynomials held as ints.
+  field.poly_gcd, Euclid's algorithm on GF(2) polynomials held as ints.
 - min_period_packed descends from the length over its prime factors,
   dividing by p while the period is invariant under rotation by P/p: one
   rotation test per prime factor removed, plus one per distinct prime,
@@ -26,19 +25,10 @@ reference the gcd kernel is tested against; the two share no code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .field import _prime_factors
-
-
-@dataclass(frozen=True)
-class ComplexityResult:
-    """Shortest-LFSR answer: register length and connection polynomial."""
-
-    lc: int
-    minimal_poly: int
+from .field import _prime_factors, poly_gcd
 
 
 def bits_to_int(bits: Sequence[int]) -> int:
@@ -76,12 +66,6 @@ def berlekamp_massey_packed(seq: int, length: int) -> tuple[int, int]:
     return state[2], state[0]
 
 
-def berlekamp_massey(bits: Sequence[int]) -> ComplexityResult:
-    """Shortest LFSR generating the sequence; lc 0 for an empty or zero input."""
-    lc, poly = berlekamp_massey_packed(bits_to_int(bits), len(bits))
-    return ComplexityResult(lc, poly)
-
-
 def linear_complexity_periodic(period_bits: Sequence[int]) -> int:
     """Linear complexity of the infinite periodic extension of one period.
 
@@ -109,13 +93,7 @@ def periodic_lc_packed(z: int, period: int) -> int:
     and 0 for the zero sequence (g = x^N + 1).
     """
     _check_period(z, period)
-    a, b = (1 << period) | 1, z
-    while b:
-        blen = b.bit_length()
-        while (shift := a.bit_length() - blen) >= 0:
-            a ^= b << shift
-        a, b = b, a
-    return period + 1 - a.bit_length()
+    return period + 1 - poly_gcd((1 << period) | 1, z).bit_length()
 
 
 def min_period(bits: Sequence[int]) -> int:
@@ -146,17 +124,3 @@ def min_period_packed(z: int, length: int) -> int:
 @lru_cache(maxsize=64)
 def _distinct_primes(n: int) -> tuple[int, ...]:
     return tuple(sorted(set(_prime_factors(n))))
-
-
-def regenerates(bits: Sequence[int], result: ComplexityResult) -> bool:
-    """Whether result's LFSR, seeded with the first lc bits, replays the input."""
-    lc, poly = result.lc, result.minimal_poly
-    if lc == 0:
-        return not any(bits)
-    for n in range(lc, len(bits)):
-        acc = 0
-        for i in range(1, lc + 1):
-            acc ^= (poly >> i & 1) & bits[n - i]
-        if acc != bits[n]:
-            return False
-    return True

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 
 ENUMERATION_MAX_L = 20
 
@@ -86,11 +86,20 @@ def cosets_up_to_weight(L: int, k: int) -> list[CyclotomicCoset]:
     return out
 
 
+def _binomial_sum(n: int, top: int) -> int:
+    """C(n,1) + ... + C(n,top), each binomial from the one before it."""
+    total, c = 0, 1
+    for i in range(1, top + 1):
+        c = c * (n - i + 1) // i
+        total += c
+    return total
+
+
 def nk(L: int, k: int) -> int:
     """C(L,1) + ... + C(L,k): the maximum linear complexity at order k."""
     if not 1 <= k <= L:
         raise ValueError(f"order k={k} outside [1, {L}]")
-    return sum(comb(L, i) for i in range(1, k + 1))
+    return _binomial_sum(L, k)
 
 
 def coset_period(c: CyclotomicCoset, L: int) -> int:
@@ -140,8 +149,7 @@ def cardinal_counts(L: int, k: int) -> dict[int, int]:
     divs = _divisors(L)
 
     def fixed(d: int) -> int:
-        rep = L // d
-        return sum(comb(d, b) for b in range(1, min(d, k // rep) + 1))
+        return _binomial_sum(d, min(d, k // (L // d)))
 
     counts: dict[int, int] = {}
     for d in divs:

@@ -22,8 +22,8 @@ from math import sqrt
 import numpy as np
 
 from . import polytable
-from .anf import (DEFAULT_ENUMERATION_CAP, FilterFunction, count_filters,
-                  enumerate_filters, format_anf, random_filter)
+from .anf import (FilterFunction, census_size, enumerate_filters, format_anf,
+                  random_filter)
 from .complexity import min_period_packed, periodic_lc_packed
 from .cosets import nk
 from .field import FieldContext
@@ -194,11 +194,7 @@ def run_exhaustive(L: int, k: int, ctx: FieldContext | None = None, *,
     """Measure every order-k filter; the census against which nfm is judged."""
     if ctx is None:
         ctx = polytable.context_for(L)
-    total = count_filters(L, k)
-    if total > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(
-            f"census of about 2^{total.bit_length() - 1} filters exceeds the cap "
-            f"of {DEFAULT_ENUMERATION_CAP}; use run_monte_carlo instead")
+    total = census_size(L, k)
     hits_lc, hits_period, records = _measure(ctx, k, None, total, jobs, collect_records)
     analytic = pr_exact(L, k)
     empirical = Fraction(hits_lc, total)

@@ -53,18 +53,17 @@ def poly_powmod(a: int, e: int, mod: int) -> int:
     return r
 
 
-def poly_mod(a: int, m: int) -> int:
-    """Remainder of a modulo m over GF(2)."""
-    dm = poly_degree(m)
-    while a and poly_degree(a) >= dm:
-        a ^= m << (poly_degree(a) - dm)
-    return a
-
-
 def poly_gcd(a: int, b: int) -> int:
-    """GCD of two GF(2) polynomial bitmasks."""
+    """GCD of two GF(2) polynomial bitmasks by Euclid's algorithm.
+
+    Each remainder step clears a's top bit with a shifted copy of b until a
+    falls below b's degree; bit_length stands in for the degree throughout.
+    """
     while b:
-        a, b = b, poly_mod(a, b)
+        blen = b.bit_length()
+        while (shift := a.bit_length() - blen) >= 0:
+            a ^= b << shift
+        a, b = b, a
     return a
 
 

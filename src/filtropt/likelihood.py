@@ -123,13 +123,11 @@ class LikelihoodReport:
     digits: int
 
 
-def pr_report(L: int, k: int, digits: int = 50,
-              include_asymptotic: bool | None = None) -> LikelihoodReport:
+def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
     """Evaluate the probability and its companion quantities.
 
-    include_asymptotic=None reports exp(-1/(2L)) exactly when k is L/2
-    rounded either way (the regime where nk(L,k) is about 2^(L-1));
-    True/False forces the choice.
+    exp(-1/(2L)) is reported exactly when k is L/2 rounded either way (the
+    regime where nk(L,k) is about 2^(L-1)).
     """
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in [1, {MAX_DIGITS}], got {digits}")
@@ -146,7 +144,7 @@ def pr_report(L: int, k: int, digits: int = 50,
         pr_float = mp.exp(ln_pr)
         bound_general = mp.exp(-mpf(nk_value) / (mp.ldexp(1, L) * L))
         asym = None
-        if include_asymptotic or (include_asymptotic is None and k in (L // 2, (L + 1) // 2)):
+        if k in (L // 2, (L + 1) // 2):
             asym = mp.exp(mpf(-1) / (2 * L))
 
         if exact:

@@ -66,26 +66,8 @@ def dft(z: int, ctx: FieldContext) -> Spectrum:
     return Spectrum(ctx, lines)
 
 
-def reconstruct(s: Spectrum, n: int) -> int:
-    """Rebuild bit z_n from the spectrum by the conjugate-closed sums."""
-    ctx = s.ctx
-    out = 0
-    for line in s.lines.values():
-        e = line.coset.leader % ctx.order
-        x = ctx.mul(line.coefficient, ctx.pow(ctx.alpha, e * n))
-        t = x
-        y = x
-        for _ in range(line.coset.cardinal - 1):
-            y = ctx.mul(y, y)
-            t ^= y
-        if t not in (0, 1):
-            raise AssertionError("conjugate sum escaped GF(2); spectrum is inconsistent")
-        out ^= t
-    return out
-
-
 def reconstruct_period(s: Spectrum) -> int:
-    """z_0..z_(2^L - 2) packed into an int; table-driven equivalent of reconstruct."""
+    """z_0..z_(2^L - 2) packed into an int, by the conjugate-closed sums over exp/log tables."""
     ctx = s.ctx
     order = ctx.order
     exp = np.array(ctx.exp_table, dtype=np.int64)

@@ -1,8 +1,9 @@
 """Independent reference implementations the tests judge the package against.
 
 Nothing here may share code paths with the package: the LFSR search is a
-literal scan over every candidate tap mask, and the trace reference works
-on coefficient lists rather than bitmasks.
+literal scan over every candidate tap mask, Berlekamp-Massey, the register
+recurrence and the LFSR replay run on plain bit lists, and the trace and
+spectral references work on coefficient lists rather than bitmasks.
 """
 from __future__ import annotations
 
@@ -95,3 +96,74 @@ def naive_min_period(bits: list[int]) -> int:
         if n % d == 0 and all(bits[i] == bits[i % d] for i in range(n)):
             return d
     raise AssertionError("n divides n")
+
+
+def berlekamp_massey_reference(bits: list[int]) -> tuple[int, int]:
+    """Textbook Berlekamp-Massey on lists; returns (lc, connection poly bitmask)."""
+    n = len(bits)
+    c = [1] + [0] * n
+    b = [1] + [0] * n
+    lc, m = 0, -1
+    for i in range(n):
+        d = bits[i]
+        for j in range(1, lc + 1):
+            d ^= c[j] & bits[i - j]
+        if d:
+            t = list(c)
+            for j in range(n + 1 - (i - m)):
+                c[j + i - m] ^= b[j]
+            if 2 * lc <= i:
+                lc, b, m = i + 1 - lc, t, i
+    return lc, sum(bit << j for j, bit in enumerate(c))
+
+
+def lfsr_replays(bits: list[int], lc: int, poly: int) -> bool:
+    """Whether the LFSR (lc, poly), seeded with the first lc bits, replays bits."""
+    if lc == 0:
+        return not any(bits)
+    taps = [poly >> i & 1 for i in range(1, lc + 1)]
+    return all(sum(t & bits[n - i] for i, t in enumerate(taps, 1)) % 2 == bits[n]
+               for n in range(lc, len(bits)))
+
+
+def m_sequence_reference(modulus: int, L: int, state: int, length: int) -> list[int]:
+    """a_0.. from a_(n+L) = sum c_i a_(n+i), c_i the modulus coefficients below x^L."""
+    coeffs = [modulus >> i & 1 for i in range(L)]
+    a = [state >> i & 1 for i in range(L)]
+    while len(a) < length:
+        n = len(a) - L
+        a.append(sum(c & a[n + i] for i, c in enumerate(coeffs)) % 2)
+    return a[:length]
+
+
+def _list_powmod(base: list[int], e: int, mod: list[int]) -> list[int]:
+    result = [1] + [0] * (len(mod) - 2)
+    while e:
+        if e & 1:
+            result = poly_list_mulmod(result, base, mod)
+        base = poly_list_mulmod(base, base, mod)
+        e >>= 1
+    return result
+
+
+def reconstruct_reference(spectrum, n: int) -> int:
+    """Bit z_n of a spectrum by the conjugate sums, on coefficient lists.
+
+    Each line adds x + x^2 + ... + x^(2^(r-1)) for x = C * alpha^(leader * n)
+    and r the coset cardinal; the sum must land in GF(2).
+    """
+    ctx = spectrum.ctx
+    L = ctx.L
+    mod = [ctx.modulus >> i & 1 for i in range(L + 1)]
+    out = 0
+    for line in spectrum.lines.values():
+        coeff = [line.coefficient >> i & 1 for i in range(L)]
+        x = poly_list_mulmod(coeff, _list_powmod([0, 1], line.coset.leader * n % ctx.order, mod),
+                             mod)
+        total = list(x)
+        for _ in range(line.coset.cardinal - 1):
+            x = poly_list_mulmod(x, x, mod)
+            total = [p ^ q for p, q in zip(total, x)]
+        assert not any(total[1:]), "conjugate sum landed outside GF(2)"
+        out ^= total[0]
+    return out

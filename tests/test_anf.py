@@ -6,11 +6,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from filtropt import (FilterFunction, LfsrGenerator, berlekamp_massey, context_for,
-                      count_filters, enumerate_filters, evaluate, filter_sequence,
-                      format_anf, parse_anf, random_filter)
+from filtropt import (FilterFunction, count_filters, enumerate_filters, evaluate,
+                      filter_sequence, format_anf, parse_anf, random_filter,
+                      run_exhaustive, window_table)
 from filtropt.anf import (AnfParseError, filter_from_monomial_lists,
                           filter_to_monomial_lists)
+from filtropt.complexity import berlekamp_massey_packed, bits_to_int
 
 
 def F(L, *monomials):
@@ -49,26 +50,26 @@ def test_order_is_max_monomial_size():
 
 
 def test_identity_filter_reproduces_sequence(ctx3):
-    gen = LfsrGenerator(ctx3)
-    assert filter_sequence(F(3, (0,)), gen, 7) == gen.period_bits()
+    assert filter_sequence(F(3, (0,)), ctx3) == (window_table(ctx3) & 1).tolist()
 
 
 def test_identity_filter_lc(ctx5):
-    gen = LfsrGenerator(ctx5)
-    z = filter_sequence(F(5, (0,)), gen, 2 * ctx5.order)
-    assert berlekamp_massey(z).lc == 5
+    z = bits_to_int(filter_sequence(F(5, (0,)), ctx5))
+    assert berlekamp_massey_packed(z | z << ctx5.order, 2 * ctx5.order)[0] == 5
 
 
 def test_filter_sequence_periodicity(ctx4):
-    gen = LfsrGenerator(ctx4)
+    # starting from the state after n clocks rotates the output by n
     f = F(4, (0, 2), (1,))
-    z = filter_sequence(f, gen, 2 * ctx4.order)
-    assert z[:ctx4.order] == z[ctx4.order:]
+    z = filter_sequence(f, ctx4)
+    for n in range(ctx4.order):
+        state = int(window_table(ctx4)[n])
+        assert filter_sequence(f, ctx4, state) == z[n:] + z[:n]
 
 
 def test_filter_sequence_dimension_mismatch(ctx3):
     with pytest.raises(ValueError):
-        filter_sequence(F(4, (0,)), LfsrGenerator(ctx3), 7)
+        filter_sequence(F(4, (0,)), ctx3)
 
 
 def test_count_filters_examples():
@@ -83,7 +84,7 @@ def test_count_filters_examples():
 
 
 # (5,3) and above are excluded: their spaces (2^25 filters up) exceed the
-# default enumeration cap, which is exactly what the cap is for
+# enumeration cap, which is exactly what the cap is for
 @pytest.mark.parametrize("L,k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
                                  (4, 2), (4, 3), (4, 4), (5, 1), (5, 2)])
 def test_enumeration_matches_count_and_is_duplicate_free(L, k):
@@ -123,10 +124,15 @@ def test_enumeration_range_splitting():
 
 
 def test_enumeration_cap_refusal():
-    with pytest.raises(ValueError, match="cap of 16777216"):
-        list(enumerate_filters(16, 8))
-    with pytest.raises(ValueError, match="cap of 32"):
-        list(enumerate_filters(5, 2, cap=32))
+    # (5, 3) has 1023 * 2^15 = 33.5M filters, just over the 2^24 cap; the
+    # census refuses with the same message as the enumeration
+    assert count_filters(5, 3) == 1023 << 15
+    for L, k in [(16, 8), (5, 3)]:
+        with pytest.raises(ValueError, match="cap of 16777216") as refused:
+            list(enumerate_filters(L, k))
+        with pytest.raises(ValueError, match="cap of 16777216") as census:
+            run_exhaustive(L, k)
+        assert str(refused.value) == str(census.value)
 
 
 def test_random_filter_invariants_and_determinism():

@@ -54,6 +54,9 @@ def test_lc_inline_and_file(capsys, tmp_path):
     path.write_text("1001011 1001011\n")
     payload = run_json(capsys, "lc", "--bits", f"@{path}")
     assert payload["lc"] == 3
+    # the first character is s_0: only a final lone one needs the whole register
+    assert run_json(capsys, "lc", "--bits", "0001")["lc"] == 4
+    assert run_json(capsys, "lc", "--bits", "1000")["lc"] == 1
 
 
 def test_lc_rejects_garbage(capsys):
@@ -122,6 +125,8 @@ def test_unknown_length_rejected(capsys):
     (["sample", "-L", "5", "-k", "2", "--trials", "5", "--csv", "/nonexistent/x.csv"],
      "/nonexistent/x.csv"),
     (["prob", "-L", "5", "-k", "2", "--digits", "100000"], "digits"),
+    (["analyze", "-L", "4", "--filter", "x0", "--state", "0"], "initial state"),
+    (["analyze", "-L", "4", "--filter", "x0", "--state", "10"], "initial state"),
 ])
 def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
     code, out, err = run(capsys, *argv)

@@ -3,42 +3,47 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from filtropt import (LfsrGenerator, berlekamp_massey, context_for,
-                      linear_complexity_periodic, min_period, random_filter)
+from filtropt import (context_for, linear_complexity_periodic, min_period, random_filter,
+                      window_table)
 from filtropt.complexity import (berlekamp_massey_packed, bits_to_int,
-                                 min_period_packed, periodic_lc_packed,
-                                 regenerates)
+                                 min_period_packed, periodic_lc_packed)
 from filtropt.experiment import _SequenceLab
 
-from oracles import brute_force_lfsr_length, naive_min_period, reciprocal
+from oracles import (berlekamp_massey_reference, brute_force_lfsr_length, lfsr_replays,
+                     naive_min_period, reciprocal)
+
+
+def _bm(bits):
+    return berlekamp_massey_packed(bits_to_int(bits), len(bits))
+
+
+def _m_sequence(ctx):
+    return (window_table(ctx) & 1).tolist()
 
 
 def test_bm_zero_sequence():
-    r = berlekamp_massey([0] * 12)
-    assert r.lc == 0
-    assert r.minimal_poly == 1
-    assert berlekamp_massey([]).lc == 0
+    assert _bm([0] * 12) == (0, 1)
+    assert _bm([])[0] == 0
 
 
 def test_bm_alternating():
     bits = [1, 0] * 8
-    r = berlekamp_massey(bits)
-    assert r.lc == 2
+    lc, poly = _bm(bits)
+    assert lc == 2
     assert brute_force_lfsr_length(bits) == 2
-    assert regenerates(bits, r)
+    assert lfsr_replays(bits, lc, poly)
 
 
 def test_bm_m_sequence(ctx3):
-    bits = LfsrGenerator(ctx3).output_bits(14)
-    r = berlekamp_massey(bits)
-    assert r.lc == 3
-    assert r.minimal_poly == reciprocal(ctx3.modulus, 3)
+    bits = _m_sequence(ctx3) * 2
+    lc, poly = _bm(bits)
+    assert lc == 3
+    assert poly == reciprocal(ctx3.modulus, 3)
     assert brute_force_lfsr_length(bits) == 3
 
 
 def test_bm_leading_zeros():
-    r = berlekamp_massey([0, 0, 1])
-    assert r.lc == 3
+    assert _bm([0, 0, 1])[0] == 3
     assert brute_force_lfsr_length([0, 0, 1]) == 3
 
 
@@ -47,9 +52,9 @@ def test_bm_matches_brute_force_randomized():
     for _ in range(100):
         n = rng.randrange(1, 41)
         bits = [rng.getrandbits(1) for _ in range(n)]
-        r = berlekamp_massey(bits)
-        assert r.lc == brute_force_lfsr_length(bits)
-        assert regenerates(bits, r)
+        lc, poly = _bm(bits)
+        assert lc == brute_force_lfsr_length(bits)
+        assert lfsr_replays(bits, lc, poly)
 
 
 def test_bm_packed_agrees_with_list_form():
@@ -57,13 +62,11 @@ def test_bm_packed_agrees_with_list_form():
     for _ in range(50):
         n = rng.randrange(1, 60)
         bits = [rng.getrandbits(1) for _ in range(n)]
-        packed = bits_to_int(bits)
-        r = berlekamp_massey(bits)
-        assert berlekamp_massey_packed(packed, n) == (r.lc, r.minimal_poly)
+        assert _bm(bits) == berlekamp_massey_reference(bits)
 
 
 def test_periodic_lc_m_sequence(ctx5):
-    bits = LfsrGenerator(ctx5).period_bits()
+    bits = _m_sequence(ctx5)
     assert linear_complexity_periodic(bits) == 5
     assert periodic_lc_packed(bits_to_int(bits), len(bits)) == 5
 
@@ -82,8 +85,7 @@ def test_periodic_lc_cross_module(ctx3):
     # iff both weight-<=2 cosets carry a nonzero coefficient
     from filtropt import dft, filter_sequence, lc_from_spectrum, parse_anf
 
-    gen = LfsrGenerator(ctx3)
-    z = filter_sequence(parse_anf("x0 + x0*x1", 3), gen, 7)
+    z = filter_sequence(parse_anf("x0 + x0*x1", 3), ctx3)
     lc = linear_complexity_periodic(z)
     assert 1 <= lc <= 6
     spec = dft(bits_to_int(z), ctx3)
@@ -95,7 +97,7 @@ def test_min_period_examples():
     assert min_period([1] * 6) == 1
     assert min_period([1, 0, 1, 1, 0, 1]) == 3
     for L in (3, 5, 8):
-        bits = LfsrGenerator(context_for(L)).period_bits()
+        bits = _m_sequence(context_for(L))
         assert min_period(bits) == (1 << L) - 1
     with pytest.raises(ValueError):
         min_period([])
@@ -114,9 +116,8 @@ def test_min_period_matches_naive():
 
 def test_minimal_poly_degree_tracks_lc_when_oldest_tap_used():
     # m-sequences always use their oldest tap; degenerate prefixes may not
-    bits = LfsrGenerator(context_for(4)).output_bits(30)
-    r = berlekamp_massey(bits)
-    assert r.minimal_poly.bit_length() - 1 == r.lc
+    lc, poly = _bm(_m_sequence(context_for(4)) * 2)
+    assert poly.bit_length() - 1 == lc
 
 
 @pytest.mark.parametrize("measure", [periodic_lc_packed, min_period_packed])

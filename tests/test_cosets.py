@@ -1,9 +1,10 @@
+import time
 from math import comb
 
 import pytest
 
 from filtropt import (cardinal_counts, coset_of, coset_period, cosets_up_to_weight,
-                      nk)
+                      nk, pr_report)
 from filtropt.cosets import _divisors, _mobius, constant_coset, coset_count
 
 
@@ -139,6 +140,21 @@ def test_cardinal_counts_huge_length():
     counts = cardinal_counts(L, 3)
     assert sum(d * c for d, c in counts.items()) == nk(L, 3)
     assert all(L % d == 0 for d in counts)
+
+
+def test_large_length_and_order_is_fast():
+    # prob -L 10000 -k 5000 must answer interactively: each binomial sum
+    # steps one binomial from the last instead of calling comb per term
+    L, k = 10_000, 5_000
+    t0 = time.perf_counter()
+    counts = cardinal_counts(L, k)
+    report = pr_report(L, k)
+    elapsed = time.perf_counter() - t0
+    # C(L,0) + ... + C(L,L/2) = (2^L + C(L,L/2)) / 2 for even L
+    assert nk(L, k) == (2**L + comb(L, k)) // 2 - 1
+    assert sum(d * c for d, c in counts.items()) == nk(L, k) == report.nk_value
+    assert report.mode == "log-domain"
+    assert elapsed < 5.0
 
 
 def test_enumeration_cap():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from filtropt import (LfsrGenerator, compare, context_for, filter_sequence,
+from filtropt import (compare, context_for, filter_sequence,
                       linear_complexity_periodic, min_period, nfm, parse_anf,
                       pr_report, random_filter, run_exhaustive, run_monte_carlo,
                       wilson_interval)
@@ -89,7 +89,7 @@ def test_lab_matches_per_bit_producer(L):
         lab = _SequenceLab(ctx, state)
         for _ in range(4):
             f = random_filter(L, rng.randrange(1, min(L, 4) + 1), rng)
-            want = filter_sequence(f, LfsrGenerator(ctx, state), ctx.order)
+            want = filter_sequence(f, ctx, state)
             assert lab.filter_period_packed(f) == bits_to_int(want)
 
 
@@ -98,7 +98,7 @@ def test_records_follow_non_default_poly():
     assert ctx.modulus != context_for(5).modulus
 
     def oracle(rec):
-        z = filter_sequence(parse_anf(rec.filter_anf, 5), LfsrGenerator(ctx), ctx.order)
+        z = filter_sequence(parse_anf(rec.filter_anf, 5), ctx)
         return rec.lc == linear_complexity_periodic(z) and rec.period == min_period(z)
 
     census = run_exhaustive(5, 2, ctx, collect_records=True)

@@ -83,8 +83,6 @@ def test_asymptotic_reporting_rules():
     assert pr_report(7, 3).bound_asymptotic is not None   # floor(L/2)
     assert pr_report(7, 4).bound_asymptotic is not None   # ceil(L/2)
     assert pr_report(7, 2).bound_asymptotic is None
-    assert pr_report(7, 2, include_asymptotic=True).bound_asymptotic is not None
-    assert pr_report(7, 3, include_asymptotic=False).bound_asymptotic is None
     rep = pr_report(6, 3)
     with mp.workdps(45):
         assert abs(rep.bound_asymptotic - mp.exp(mpf(-1) / 12)) < mpf(10) ** -40
