@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .field import _prime_factors, poly_gcd
+from .field import _check_period, _prime_factors, poly_gcd
 
 
 def bits_to_int(bits: Sequence[int]) -> int:
@@ -36,34 +36,27 @@ def bits_to_int(bits: Sequence[int]) -> int:
     return sum((b & 1) << n for n, b in enumerate(bits))
 
 
-_BM_BLOCK = 256  # bits fed to each _bm_feed call, so no step shifts the whole input
+_BM_BLOCK = 256  # bits read from seq at a time, so no step shifts the whole input
 _BM_MASK = (1 << _BM_BLOCK) - 1
-_BM_START = (1, 1, 0, -1, 0)  # (c, b, lc, m, rev) before any bit
-
-
-def _bm_feed(state: tuple[int, int, int, int, int], bits: int, start: int,
-             stop: int) -> tuple[int, int, int, int, int]:
-    """Berlekamp-Massey over s_start .. s_(stop-1), with s_start at bit 0 of bits."""
-    c, b, lc, m, rev = state  # rev: bit i = s_(n-i), rebuilt by shifting each step
-    for n in range(start, stop):
-        rev = (rev << 1) | (bits & 1)
-        bits >>= 1
-        if (c & rev).bit_count() & 1:
-            t = c
-            c ^= b << (n - m)
-            if 2 * lc <= n:
-                lc = n + 1 - lc
-                b = t
-                m = n
-    return c, b, lc, m, rev
 
 
 def berlekamp_massey_packed(seq: int, length: int) -> tuple[int, int]:
     """Berlekamp-Massey on a packed bit sequence; returns (lc, connection poly)."""
-    state = _BM_START
-    for n in range(0, length, _BM_BLOCK):
-        state = _bm_feed(state, seq >> n & _BM_MASK, n, min(n + _BM_BLOCK, length))
-    return state[2], state[0]
+    c, b, lc, m = 1, 1, 0, -1
+    rev = 0  # bit i = s_(n-i), rebuilt by shifting each step
+    for start in range(0, length, _BM_BLOCK):
+        bits = seq >> start & _BM_MASK
+        for n in range(start, min(start + _BM_BLOCK, length)):
+            rev = (rev << 1) | (bits & 1)
+            bits >>= 1
+            if (c & rev).bit_count() & 1:
+                t = c
+                c ^= b << (n - m)
+                if 2 * lc <= n:
+                    lc = n + 1 - lc
+                    b = t
+                    m = n
+    return lc, c
 
 
 def linear_complexity_periodic(period_bits: Sequence[int]) -> int:
@@ -77,13 +70,6 @@ def linear_complexity_periodic(period_bits: Sequence[int]) -> int:
         raise ValueError("empty period")
     packed = bits_to_int(period_bits)
     return berlekamp_massey_packed(packed | packed << p, 2 * p)[0]
-
-
-def _check_period(z: int, period: int) -> None:
-    if period < 1:
-        raise ValueError(f"period must be at least 1, got {period}")
-    if z < 0 or z >> period:
-        raise ValueError(f"need one period of {period} bits packed into an int")
 
 
 def periodic_lc_packed(z: int, period: int) -> int:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from .field import _prime_factors
+
 ENUMERATION_MAX_L = 20
 
 
@@ -109,30 +111,18 @@ def coset_period(c: CyclotomicCoset, L: int) -> int:
 
 
 def _mobius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
+    primes = _prime_factors(n)
+    if len(set(primes)) < len(primes):
+        return 0
+    return -1 if len(primes) % 2 else 1
 
 
 def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    primes = _prime_factors(n)
+    divs = [1]
+    for p in set(primes):
+        divs = [d * p ** e for d in divs for e in range(primes.count(p) + 1)]
+    return sorted(divs)
 
 
 def cardinal_counts(L: int, k: int) -> dict[int, int]:
@@ -147,13 +137,11 @@ def cardinal_counts(L: int, k: int) -> dict[int, int]:
     if not 1 <= k <= L:
         raise ValueError(f"weight bound k={k} outside [1, {L}]")
     divs = _divisors(L)
-
-    def fixed(d: int) -> int:
-        return _binomial_sum(d, min(d, k // (L // d)))
+    fixed = {d: _binomial_sum(d, min(d, k // (L // d))) for d in divs}
 
     counts: dict[int, int] = {}
     for d in divs:
-        g = sum(_mobius(d // dd) * fixed(dd) for dd in _divisors(d))
+        g = sum(_mobius(d // dd) * fixed[dd] for dd in _divisors(d))
         if g:
             if g % d:
                 raise AssertionError(f"orbit count {g} not divisible by size {d}")

@@ -1,10 +1,12 @@
-"""Arithmetic in GF(2^L) over a verified primitive modulus.
+"""GF(2^L) as a verified primitive modulus plus its exp/log tables.
 
 Field elements are plain ints carrying the polynomial-basis coefficient
 bitmask (bit i = coefficient of x^i), so 0 and 1 are the additive and
-multiplicative identities and addition is xor.  A ``FieldContext`` pins the
-extension degree L and the primitive modulus; all operations live on the
-context and validate that their operands are reduced L-bit values.
+multiplicative identities and addition is xor.  A ``FieldContext`` is a
+primitive modulus of degree L, verified once, and its tables:
+``exp_table[n]`` is alpha^n, ``log_table`` inverts it on the nonzero
+elements, and ``trace_mask`` turns the absolute trace into a masked parity,
+so a product is a sum of logs and a trace is one popcount.
 
 The raw ``poly_*`` helpers work on bare bitmasks and are usable before any
 context exists; ``is_primitive`` builds on them to vet a candidate modulus
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 FieldElement = int
 
@@ -44,6 +48,8 @@ def poly_mulmod(a: int, b: int, mod: int) -> int:
 
 def poly_powmod(a: int, e: int, mod: int) -> int:
     """a^e modulo mod by square-and-multiply (e >= 0)."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
     r = 1
     while e:
         if e & 1:
@@ -112,6 +118,14 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _check_period(z: int, period: int) -> None:
+    """The one packed-period check: z holds one period of `period` bits."""
+    if period < 1:
+        raise ValueError(f"period must be at least 1, got {period}")
+    if z < 0 or z >> period:
+        raise ValueError(f"need one period of {period} bits packed into an int")
+
+
 def is_irreducible(poly: int, L: int) -> bool:
     """True iff the degree-L bitmask poly is irreducible over GF(2)."""
     if poly_degree(poly) != L:
@@ -166,10 +180,10 @@ def is_primitive(L: int, poly: int, factorization: Sequence[int]) -> bool:
 
 
 class FieldContext:
-    """Immutable GF(2^L) environment over a verified primitive modulus.
+    """A verified primitive modulus of degree L and its exp/log tables.
 
     Safe to share across threads/processes: construction verifies the
-    modulus once and every operation afterwards is a pure function.
+    modulus once and the tables, built on first use, are read-only.
     """
 
     def __init__(self, L: int, modulus: int, factorization: Sequence[int]):
@@ -191,109 +205,45 @@ class FieldContext:
     def __hash__(self) -> int:
         return hash((self.L, self.modulus))
 
-    @property
-    def alpha(self) -> FieldElement:
-        """The residue class of x, a generator of the multiplicative group."""
-        return 2
+    @cached_property
+    def exp_table(self) -> np.ndarray:
+        """alpha^n for n in [0, 2^L - 2], read-only; desk-scale fields only."""
+        if self.L > 20:
+            raise ValueError(f"discrete log tables capped at L <= 20, got L={self.L}")
+        powers = []
+        v = 1
+        for _ in range(self.order):  # the Galois step v -> alpha * v
+            powers.append(v)
+            v <<= 1
+            if v >> self.L:
+                v ^= self.modulus
+        if v != 1:
+            raise AssertionError("alpha does not have full order")
+        exp = np.array(powers, dtype=np.int64)
+        exp.flags.writeable = False
+        return exp
 
-    def check(self, a: FieldElement) -> FieldElement:
-        """Validate that a is a reduced element of this field."""
-        if not isinstance(a, int) or a < 0 or a >> self.L:
-            raise ValueError(f"{a!r} is not a reduced element of GF(2^{self.L})")
-        return a
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        """Characteristic-2 addition: coefficientwise xor."""
-        return self.check(a) ^ self.check(b)
-
-    def mul_alpha(self, a: FieldElement) -> FieldElement:
-        """Multiply by alpha in O(1)."""
-        a <<= 1
-        if a >> self.L:
-            a ^= self.modulus
-        return a
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        """Polynomial product reduced modulo the field modulus."""
-        self.check(a)
-        self.check(b)
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a = self.mul_alpha(a)
-        return r
-
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        """Square-and-multiply power; exponents reduce mod 2^L - 1 for a != 0."""
-        self.check(a)
-        if a == 0:
-            if e < 0:
-                raise ValueError("zero has no inverse")
-            return 1 if e == 0 else 0
-        e %= self.order
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        return self.pow(a, -1)
-
-    def frobenius(self, a: FieldElement) -> FieldElement:
-        return self.mul(a, a)
-
-    def trace_sum(self, a: FieldElement) -> FieldElement:
-        """Absolute trace by its definition: a + a^2 + ... + a^(2^(L-1))."""
-        self.check(a)
-        t = a
-        v = a
-        for _ in range(self.L - 1):
-            v = self.mul(v, v)
-            t ^= v
-        return t
+    @cached_property
+    def log_table(self) -> np.ndarray:
+        """Discrete log base alpha of nonzero elements, read-only (log_table[0] is 0)."""
+        log = np.zeros(1 << self.L, dtype=np.int64)
+        log[self.exp_table] = np.arange(self.order, dtype=np.int64)
+        log.flags.writeable = False
+        return log
 
     @cached_property
     def trace_mask(self) -> int:
-        """Bitmask m with trace(a) = parity(a & m), from trace linearity."""
+        """Bitmask m with Tr(a) = parity(a & m).
+
+        Bit i is Tr(alpha^i), the xor of alpha^(i 2^j) over j < L.
+        """
+        exp = self.exp_table
         mask = 0
         for i in range(self.L):
-            t = self.trace_sum(1 << i)
+            t = 0
+            for j in range(self.L):
+                t ^= int(exp[(i << j) % self.order])
             if t not in (0, 1):
                 raise AssertionError("trace of basis element outside GF(2)")
             mask |= t << i
         return mask
-
-    def trace(self, a: FieldElement) -> int:
-        """Absolute trace GF(2^L) -> GF(2)."""
-        return (self.check(a) & self.trace_mask).bit_count() & 1
-
-    @cached_property
-    def _exp_log_tables(self) -> tuple[list[int], list[int]]:
-        # exp[n] = alpha^n for n in [0, order); log[v] for nonzero v
-        if self.L > 20:
-            raise ValueError(f"discrete log tables capped at L <= 20, got L={self.L}")
-        exp = [0] * self.order
-        log = [0] * (1 << self.L)
-        v = 1
-        for n in range(self.order):
-            exp[n] = v
-            log[v] = n
-            v = self.mul_alpha(v)
-        if v != 1:
-            raise AssertionError("alpha does not have full order")
-        return exp, log
-
-    @property
-    def exp_table(self) -> list[int]:
-        """alpha^n for n in [0, 2^L - 2]; desk-scale fields only."""
-        return self._exp_log_tables[0]
-
-    @property
-    def log_table(self) -> list[int]:
-        """Discrete log base alpha, defined for nonzero elements."""
-        return self._exp_log_tables[1]

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldContext
+from .field import FieldContext, _check_period
 
 
 @lru_cache(maxsize=32)
@@ -46,24 +46,21 @@ def trace_consistency(ctx: FieldContext, z: int) -> bool:
     """Whether z_n = trace(c * alpha^n) for some nonzero c over one packed period.
 
     Every nonzero c is alpha^t, so the trace-form sequences are exactly the
-    rotations of s = (trace(alpha^n))_n.  The L-bit windows of s run once
-    through every nonzero value, so sliding one over s finds the only t
-    whose window matches z's first L bits; then one rotation is compared.
+    rotations of s = (trace(alpha^n))_n, read from the field's exp table
+    (L <= 20) as parity(alpha^n & trace_mask).  The L-bit windows of s run
+    once through every nonzero value, so only the t whose window matches
+    z's first L bits can work; then one rotation is compared.
     """
     order, L = ctx.order, ctx.L
-    if z < 0 or z >> order:
-        raise ValueError(f"need one period of {order} bits packed into an int")
-    mask = ctx.trace_mask
-    bits = []
-    v = 1
-    for _ in range(order):
-        bits.append((v & mask).bit_count() & 1)
-        v = ctx.mul_alpha(v)
-    s = int("".join(map(str, reversed(bits))), 2)
-    head = z & ((1 << L) - 1)
-    window = s & ((1 << L) - 1)
-    for t in range(order):
-        if window == head:
-            return (s >> t | s << (order - t)) & ((1 << order) - 1) == z
-        window = window >> 1 | bits[(t + L) % order] << (L - 1)
-    return False
+    _check_period(z, order)
+    v = ctx.exp_table & ctx.trace_mask
+    for shift in (16, 8, 4, 2, 1):  # fold the parity of up to 32 bits into bit 0
+        v = v ^ v >> shift
+    bits = (v & 1).astype(np.uint8)
+    s = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    windows = sum(np.roll(bits, -i).astype(np.int64) << i for i in range(L))
+    hits = np.flatnonzero(windows == z & ((1 << L) - 1))
+    if not len(hits):
+        return False
+    t = int(hits[0])
+    return (s >> t | s << (order - t)) & ((1 << order) - 1) == z

@@ -70,8 +70,12 @@ def nfm(L: int, k: int) -> int:
         raise ValueError(
             f"nfm(L={L}, k={k}) needs about 2^{nk(L, k)} bits; "
             "use pr_report's log-domain mode instead")
+    return _nfm(cardinal_counts(L, k))
+
+
+def _nfm(counts: dict[int, int]) -> int:
     out = 1
-    for d, count in cardinal_counts(L, k).items():
+    for d, count in counts.items():
         out *= ((1 << d) - 1) ** count
     return out
 
@@ -90,11 +94,15 @@ def ln_probability_parts(L: int, k: int, digits: int = 50) -> tuple[mpf, mpf]:
     precision of a direct subtraction.
     """
     with mp.workdps(digits + _GUARD_DIGITS):
-        product_term = mpf(0)
-        for d, count in cardinal_counts(L, k).items():
-            product_term += mpf(count) * _ln_one_minus_pow2(d)
-        correction = -_ln_one_minus_pow2(comb(L, k))
-    return product_term, correction
+        return _ln_parts(L, k, cardinal_counts(L, k))
+
+
+def _ln_parts(L: int, k: int, counts: dict[int, int]) -> tuple[mpf, mpf]:
+    """ln_probability_parts from given cardinal counts, at the working precision."""
+    product_term = mpf(0)
+    for d, count in counts.items():
+        product_term += mpf(count) * _ln_one_minus_pow2(d)
+    return product_term, -_ln_one_minus_pow2(comb(L, k))
 
 
 @dataclass
@@ -138,8 +146,8 @@ def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
     n_cosets = sum(counts.values())
     exact = nk_value <= EXACT_NK_BIT_CAP
 
-    product_term, correction = ln_probability_parts(L, k, digits)
     with mp.workdps(digits + _GUARD_DIGITS):
+        product_term, correction = _ln_parts(L, k, counts)
         ln_pr = product_term + correction
         pr_float = mp.exp(ln_pr)
         bound_general = mp.exp(-mpf(nk_value) / (mp.ldexp(1, L) * L))
@@ -148,7 +156,7 @@ def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
             asym = mp.exp(mpf(-1) / (2 * L))
 
         if exact:
-            m = nfm(L, k)
+            m = _nfm(counts)
             f = count_filters(L, k)
             ratio = Fraction(m, f)
             pr_from_ints = mpf(ratio.numerator) / mpf(ratio.denominator)

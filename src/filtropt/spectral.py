@@ -21,7 +21,7 @@ from math import lcm
 import numpy as np
 
 from .cosets import CyclotomicCoset, coset_period, cosets_up_to_weight
-from .field import FieldContext, FieldElement
+from .field import FieldContext, FieldElement, _check_period
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,16 @@ class Spectrum:
     ctx: FieldContext
     lines: dict[int, SpectralLine] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for leader, line in self.lines.items():
+            if leader != line.coset.leader:
+                raise ValueError(f"line keyed {leader} belongs to the coset led by "
+                                 f"{line.coset.leader}")
+            c = line.coefficient
+            if not isinstance(c, int) or c <= 0 or c >> self.ctx.L:
+                raise ValueError(f"coefficient {c!r} of line {leader} is not a nonzero "
+                                 f"reduced element of GF(2^{self.ctx.L})")
+
     def leaders(self) -> list[int]:
         return sorted(self.lines)
 
@@ -49,9 +59,8 @@ class Spectrum:
 def dft(z: int, ctx: FieldContext) -> Spectrum:
     """Project one packed period (z_n at bit n) onto the coset leaders; nonzero lines only."""
     order = ctx.order
-    if z < 0 or z >> order:
-        raise ValueError(f"need one period of {order} bits packed into an int")
-    exp = np.array(ctx.exp_table, dtype=np.int64)
+    _check_period(z, order)
+    exp = ctx.exp_table
     raw = np.frombuffer(z.to_bytes((order + 7) // 8, "little"), dtype=np.uint8)
     ones = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
     lines: dict[int, SpectralLine] = {}
@@ -70,16 +79,15 @@ def reconstruct_period(s: Spectrum) -> int:
     """z_0..z_(2^L - 2) packed into an int, by the conjugate-closed sums over exp/log tables."""
     ctx = s.ctx
     order = ctx.order
-    exp = np.array(ctx.exp_table, dtype=np.int64)
-    log = ctx.log_table
+    exp = ctx.exp_table
     ns = np.arange(order, dtype=np.int64)
     acc = np.zeros(order, dtype=np.int64)
     for line in s.lines.values():
-        coeff = line.coefficient
+        lg = int(ctx.log_table[line.coefficient])
         e = line.coset.leader % order
-        for _ in range(line.coset.cardinal):
-            acc ^= exp[(e * ns + log[coeff]) % order]
-            coeff = ctx.mul(coeff, coeff)
+        for _ in range(line.coset.cardinal):  # conjugates: C -> C^2 doubles log C
+            acc ^= exp[(e * ns + lg) % order]
+            lg = 2 * lg % order
             e = (e * 2) % order
     bad = np.flatnonzero(acc > 1)
     if len(bad):
@@ -89,13 +97,14 @@ def reconstruct_period(s: Spectrum) -> int:
 
 
 def verify_subfield(s: Spectrum) -> bool:
-    """Claim check: every coefficient satisfies C^(2^r) = C for its coset size r."""
-    ctx = s.ctx
+    """Claim check: every coefficient satisfies C^(2^r) = C for its coset size r.
+
+    On logs: log(C) * 2^r = log(C) (mod 2^L - 1).
+    """
+    order = s.ctx.order
     for line in s.lines.values():
-        c = line.coefficient
-        for _ in range(line.coset.cardinal):
-            c = ctx.mul(c, c)
-        if c != line.coefficient:
+        lg = int(s.ctx.log_table[line.coefficient])
+        if (lg << line.coset.cardinal) % order != lg:
             return False
     return True
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from filtropt import FieldContext, context_for, is_primitive, supported_lengths
@@ -8,93 +9,121 @@ from filtropt.field import poly_degree, poly_gcd, poly_mulmod, poly_powmod
 from oracles import trace_reference
 
 
+MOD3 = 0b1011  # x^3 + x + 1, the embedded cubic
+
+
+def _trace(ctx, a):
+    return (a & ctx.trace_mask).bit_count() & 1
+
+
+def _coeffs(a, L):
+    return [a >> i & 1 for i in range(L)]
+
+
 def test_add_is_xor(ctx3):
-    a = 0b011  # x + 1
-    b = 0b010  # x
-    assert ctx3.add(a, b) == 1
-    for v in range(8):
-        assert ctx3.add(v, v) == 0
-        assert ctx3.add(v, 0) == v
+    # xor is the addition multiplication distributes over, in characteristic 2
+    assert 0b011 ^ 0b010 == 1
+    for a in range(8):
+        assert poly_mulmod(a, 1 ^ 1, MOD3) == 0
+        for b in range(8):
+            for c in range(8):
+                assert (poly_mulmod(a ^ b, c, MOD3)
+                        == poly_mulmod(a, c, MOD3) ^ poly_mulmod(b, c, MOD3))
 
 
 def test_mul_defining_relation(ctx3):
     # modulus x^3 + x + 1 forces x * x^2 = x + 1
-    assert ctx3.mul(0b010, 0b100) == 0b011
+    assert ctx3.modulus == MOD3
+    assert poly_mulmod(0b010, 0b100, MOD3) == 0b011
     for a in range(8):
-        assert ctx3.mul(a, 1) == a
+        assert poly_mulmod(a, 1, MOD3) == a
+    exp, log = ctx3.exp_table, ctx3.log_table
     for a in range(1, 8):
-        assert ctx3.mul(a, ctx3.inv(a)) == 1
-
-
-def test_mul_rejects_unreduced_elements(ctx3):
-    with pytest.raises(ValueError):
-        ctx3.mul(0b1000, 1)
-    with pytest.raises(ValueError):
-        ctx3.add(1, -2)
+        assert poly_mulmod(a, poly_powmod(a, ctx3.order - 1, MOD3), MOD3) == 1
+        for b in range(1, 8):  # the tables multiply by adding logs
+            assert exp[(log[a] + log[b]) % ctx3.order] == poly_mulmod(a, b, MOD3)
 
 
 def test_pow_basics(ctx3):
-    alpha = ctx3.alpha
-    assert ctx3.pow(alpha, 2**3 - 1) == 1
-    assert ctx3.pow(alpha, ctx3.order + 1) == alpha  # exponent reduced mod 2^L - 1
-    assert ctx3.pow(0b010, 3) == 0b011  # x^3 = x + 1
+    alpha = 0b010
+    assert poly_powmod(alpha, 2**3 - 1, MOD3) == 1
+    assert poly_powmod(alpha, ctx3.order + 1, MOD3) == alpha
+    assert poly_powmod(0b010, 3, MOD3) == 0b011  # x^3 = x + 1
     for a in range(1, 8):
-        assert ctx3.pow(a, 0) == 1
-        assert ctx3.pow(a, 2) == ctx3.frobenius(a)
-    assert ctx3.pow(0, 5) == 0
-    assert ctx3.pow(0, 0) == 1
-    with pytest.raises(ValueError):
-        ctx3.pow(0, -1)
+        assert poly_powmod(a, 0, MOD3) == 1
+        assert poly_powmod(a, 2, MOD3) == poly_mulmod(a, a, MOD3)
+    assert poly_powmod(0, 5, MOD3) == 0
+    assert poly_powmod(0, 0, MOD3) == 1
+    with pytest.raises(ValueError, match="negative exponent"):
+        poly_powmod(0, -1, MOD3)
+    for n in range(2 * ctx3.order):
+        assert poly_powmod(alpha, n, MOD3) == ctx3.exp_table[n % ctx3.order]
 
 
 def test_trace_examples(ctx3):
-    assert ctx3.trace(0) == 0
+    assert _trace(ctx3, 0) == 0
     # L odd: trace(1) = L mod 2
-    assert ctx3.trace(1) == 1
+    assert _trace(ctx3, 1) == 1
     # independent coefficient-list oracle for trace(x) in GF(2^3)/x^3+x+1
     mod = [1, 1, 0, 1]
     assert trace_reference([0, 1, 0], mod, 3) == 0
-    assert ctx3.trace(0b010) == 0
+    assert _trace(ctx3, 0b010) == 0
 
 
 def test_trace_matches_definition_randomized():
     rng = random.Random(101)
     for L in (5, 8, 13):
         ctx = context_for(L)
+        mod = _coeffs(ctx.modulus, L + 1)
         for _ in range(50):
             a = rng.randrange(1 << L)
-            assert ctx.trace(a) == ctx.trace_sum(a)
-            assert ctx.trace(a) in (0, 1)
-            assert ctx.trace(ctx.frobenius(a)) == ctx.trace(a)
+            assert _trace(ctx, a) == trace_reference(_coeffs(a, L), mod, L)
+            assert _trace(ctx, poly_mulmod(a, a, ctx.modulus)) == _trace(ctx, a)
 
 
 def test_frobenius_is_additive():
     rng = random.Random(102)
     for L in (5, 8, 13):
         ctx = context_for(L)
+        exp, log = ctx.exp_table, ctx.log_table
         for _ in range(50):
             a = rng.randrange(1 << L)
             b = rng.randrange(1 << L)
-            assert ctx.frobenius(a ^ b) == ctx.frobenius(a) ^ ctx.frobenius(b)
+            sq_a, sq_b = poly_mulmod(a, a, ctx.modulus), poly_mulmod(b, b, ctx.modulus)
+            assert poly_mulmod(a ^ b, a ^ b, ctx.modulus) == sq_a ^ sq_b
+            if a:  # squaring doubles the log
+                assert exp[2 * log[a] % ctx.order] == sq_a
 
 
 def test_trace_balanced_exhaustively():
     for L in range(2, 17):
         ctx = context_for(L)
-        zeros = sum(1 for a in range(1 << L) if ctx.trace(a) == 0)
+        zeros = sum(1 for a in range(1 << L) if _trace(ctx, a) == 0)
         assert zeros == 1 << (L - 1)
 
 
 @pytest.mark.parametrize("L", [4, 8, 12, 16])
 def test_alpha_generates_all_nonzero(L):
     ctx = context_for(L)
-    seen = set()
-    v = 1
-    for _ in range(ctx.order):
-        seen.add(v)
-        v = ctx.mul(v, ctx.alpha)
-    assert v == 1
-    assert seen == set(range(1, 1 << L))
+    exp, log = ctx.exp_table, ctx.log_table
+    assert exp.dtype == log.dtype == np.int64
+    assert len(exp) == ctx.order and len(log) == 1 << L
+    assert sorted(exp.tolist()) == list(range(1, 1 << L))
+    assert (log[exp] == np.arange(ctx.order)).all()
+    assert exp[1] == 2 and poly_mulmod(int(exp[-1]), 2, ctx.modulus) == 1
+    with pytest.raises(ValueError):
+        exp[0] = 0  # shared read-only tables
+
+
+def test_exp_log_tables_capped():
+    with pytest.raises(ValueError, match="capped at L <= 20"):
+        context_for(21).exp_table
+
+
+def test_field_context_surface(ctx3):
+    public = {name for name in dir(ctx3) if not name.startswith("_")}
+    assert public == {"L", "modulus", "order", "factorization",
+                      "exp_table", "log_table", "trace_mask"}
 
 
 def test_is_primitive_examples():

@@ -3,7 +3,7 @@ import pytest
 from filtropt import context_for, min_period, trace_consistency, window_table
 from filtropt.complexity import berlekamp_massey_packed, bits_to_int
 
-from oracles import m_sequence_reference, reciprocal
+from oracles import m_sequence_reference, poly_list_mulmod, reciprocal, trace_reference
 
 
 def _bits(ctx, state=1):
@@ -84,15 +84,16 @@ def test_trace_consistency_small(ctx3):
     bits = _bits(ctx3)
     assert trace_consistency(ctx3, bits_to_int(bits)) is True
     # brute confirmation: some nonzero c matches the whole period
+    mod = [1, 1, 0, 1]  # x^3 + x + 1
     matches = []
     for c in range(1, 8):
-        v = c
+        v = [c >> i & 1 for i in range(3)]
         good = True
         for bit in bits:
-            if ctx3.trace(v) != bit:
+            if trace_reference(v, mod, 3) != bit:
                 good = False
                 break
-            v = ctx3.mul(v, ctx3.alpha)
+            v = poly_list_mulmod(v, [0, 1], mod)
         if good:
             matches.append(c)
     assert len(matches) == 1

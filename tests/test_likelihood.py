@@ -117,3 +117,15 @@ def test_counts_feed_the_formula():
             expect *= ((1 << d) - 1) ** c
         assert nfm(L, k) == expect
         assert count_filters(L, k) >= nfm(L, k)
+
+
+def test_log_domain_report_sums_each_binomial_once(monkeypatch):
+    # one sum per divisor of L for the cardinal counts, plus nk's own
+    from filtropt import cosets
+
+    calls = []
+    real = cosets._binomial_sum
+    monkeypatch.setattr(cosets, "_binomial_sum", lambda n, top: calls.append(n) or real(n, top))
+    report = pr_report(1000, 500)
+    assert report.mode == "log-domain"
+    assert len(calls) <= len(cosets._divisors(1000)) + 1

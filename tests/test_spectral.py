@@ -8,9 +8,10 @@ from filtropt import (Spectrum, context_for, dft, enumerate_filters, filter_sequ
                       verify_subfield)
 from filtropt.complexity import bits_to_int, min_period_packed
 from filtropt.cosets import coset_of
+from filtropt.field import poly_powmod
 from filtropt.spectral import SpectralLine
 
-from oracles import reconstruct_reference
+from oracles import poly_list_mulmod, reconstruct_reference, trace_reference
 
 
 def _output(ctx, f):
@@ -59,11 +60,12 @@ def test_single_line_at_leader_one_is_trace_sequence(ctx3):
     coset = coset_of(1, 3)
     spec = Spectrum(ctx3, {1: SpectralLine(coset, 1)})
     bits = [reconstruct_reference(spec, n) for n in range(7)]
+    mod = [1, 1, 0, 1]  # x^3 + x + 1
     want = []
-    v = 1
+    v = [1, 0, 0]
     for _ in range(7):
-        want.append(ctx3.trace(v))
-        v = ctx3.mul(v, ctx3.alpha)
+        want.append(trace_reference(v, mod, 3))
+        v = poly_list_mulmod(v, [0, 1], mod)
     assert bits == want
 
 
@@ -107,19 +109,31 @@ def test_triangularity_exhaustive_l5_k2(ctx5):
 def test_subfield_membership_violated_by_hand_built_line(ctx4):
     # coset {5, 10} has cardinal 2; alpha is not in GF(4), so alpha^(2^2) != alpha
     coset = coset_of(5, 4)
-    alpha = ctx4.alpha
-    assert ctx4.pow(alpha, 1 << 2) != alpha
+    alpha = 0b10
+    assert poly_powmod(alpha, 1 << 2, ctx4.modulus) != alpha
     bad = Spectrum(ctx4, {5: SpectralLine(coset, alpha)})
     assert verify_subfield(bad) is False
 
 
 def test_single_short_coset_line_has_short_period(ctx4):
     # a legitimate GF(4) coefficient on coset {5, 10}: alpha^5 satisfies c^4 = c
-    c = ctx4.pow(ctx4.alpha, 5)
+    c = poly_powmod(0b10, 5, ctx4.modulus)
     spec = Spectrum(ctx4, {5: SpectralLine(coset_of(5, 4), c)})
     assert verify_subfield(spec) is True
     assert period_from_spectrum(spec) == 3
     assert min_period_packed(reconstruct_period(spec), 15) == 3
+
+
+def test_spectrum_rejects_zero_unreduced_or_misfiled_lines(ctx5):
+    line = SpectralLine(coset_of(1, 5), 1)
+    assert Spectrum(ctx5, {1: line}).lines == {1: line}
+    for bad in (0, 1 << 5, -3):  # absent means zero; coefficients are reduced elements
+        with pytest.raises(ValueError, match="not a nonzero reduced element"):
+            Spectrum(ctx5, {1: SpectralLine(coset_of(1, 5), bad)})
+    with pytest.raises(ValueError, match="coset led by 1"):
+        Spectrum(ctx5, {2: SpectralLine(coset_of(2, 5), 1)})
+    with pytest.raises(ValueError, match="coset led by 3"):
+        Spectrum(ctx5, {1: SpectralLine(coset_of(3, 5), 1)})
 
 
 def test_oracle_equivalence_sampled_l7(ctx7):
