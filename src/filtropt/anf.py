@@ -98,13 +98,13 @@ def census_size(L: int, k: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _selectable_masks(L: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
+def selectable_masks(L: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Tap masks of every monomial of size 1..k, ascending, each with its selector bit.
 
     A selector's low n_low bits pick the size 1..k-1 monomials (size-major,
     then lexicographic in taps), the n_top bits above them the size-k ones
     (lexicographic).  Returns the (mask, bit) pairs and n_low; cached, since
-    every draw and census chunk at one (L, k) shares the pool.
+    every draw and census block at one (L, k) shares the pool.
     """
     taps = [1 << t for t in range(L)]
     low = [sum(c) for d in range(1, k) for c in combinations(taps, d)]
@@ -119,7 +119,7 @@ def random_filter(L: int, k: int, rng) -> FilterFunction:
     lower-degree monomial is included independently with probability 1/2.
     """
     count_filters(L, k)  # validates range
-    pool, n_low = _selectable_masks(L, k)
+    pool, n_low = selectable_masks(L, k)
     top_bits = rng.randrange(1, 1 << (len(pool) - n_low))
     low_bits = rng.getrandbits(n_low) if n_low else 0
     selector = top_bits << n_low | low_bits
@@ -133,14 +133,14 @@ def enumerate_filters(L: int, k: int, start: int = 0,
     Index layout: the degree-k subset bitmask ascends from 1 in the outer
     position, the lower-degree bitmask ascends from 0 inside, so slices
     [start, stop) can be handed to parallel workers.  Index i is thus the
-    selector i + 2^n_low of _selectable_masks.
+    selector i + 2^n_low of selectable_masks.
     """
     total = census_size(L, k)
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
         raise ValueError(f"bad range [{start}, {stop}) for {total} filters")
-    pool, n_low = _selectable_masks(L, k)
+    pool, n_low = selectable_masks(L, k)
     for selector in range(start + (1 << n_low), stop + (1 << n_low)):
         # tuple() of a list, not of a generator: a generator's tuple is resized
         # after allocation, which strands tuples on CPython's per-size free

@@ -20,6 +20,12 @@ The periodic measurements use no filter theory:
   rotation test per prime factor removed, plus one per distinct prime,
   instead of one per divisor.
 
+The census measures whole blocks of short periods at once: for periods of
+at most WORD_MAX_PERIOD bits, one numpy uint64 lane per sequence,
+periodic_lc_words runs full Berlekamp-Massey over both copies of the period
+(2N bits, no early exit) in every lane together, and min_period_words makes
+the same prime-factor descent as rotation tests on the lanes.
+
 linear_complexity_periodic keeps full 2p-bit Berlekamp-Massey as the
 reference the gcd kernel is tested against; the two share no code.
 """
@@ -28,7 +34,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .field import _check_period, _prime_factors, poly_gcd
+
+# Longest period a word lane holds: BM's connection polynomial has degree at
+# most lc <= N, so N + 1 coefficient bits must fit in 64.
+WORD_MAX_PERIOD = 63
 
 
 def bits_to_int(bits: Sequence[int]) -> int:
@@ -110,3 +122,79 @@ def min_period_packed(z: int, length: int) -> int:
 @lru_cache(maxsize=64)
 def _distinct_primes(n: int) -> tuple[int, ...]:
     return tuple(sorted(set(_prime_factors(n))))
+
+
+def _check_words(z: np.ndarray, period: int) -> None:
+    """The lane check: a 1-D uint64 array, each lane one period of `period` bits."""
+    if not 1 <= period <= WORD_MAX_PERIOD:
+        raise ValueError(f"word lanes hold periods of 1..{WORD_MAX_PERIOD} bits, got {period}")
+    if not (isinstance(z, np.ndarray) and z.dtype == np.uint64 and z.ndim == 1):
+        raise ValueError("need a 1-D uint64 array of packed periods")
+    if (z >> np.uint64(period)).any():
+        raise ValueError(f"need one period of {period} bits in every lane")
+
+
+def periodic_lc_words(z: np.ndarray, period: int) -> np.ndarray:
+    """Linear complexity of each lane's periodic extension, as int64.
+
+    Berlekamp-Massey over two copies of the period in every lane at once,
+    branch-free: each step turns the discrepancy into 0/1 and the length
+    change into an all-ones/zero mask.  Every value a lane uses fits a word:
+    the complexity of any prefix is at most that of the whole sequence
+    (<= N <= 63), BM keeps deg c <= lc, and b << (n - m) has degree at most
+    the register length after the step that uses it; a shifted b that has
+    run past bit 63 is therefore not used before a length change replaces it.
+
+    Per lane: c is the connection polynomial, rev holds s_n, s_(n-1), ...
+    from bit 0 up, bs is b already shifted by n - m, and e = 2 lc - n - 1 is
+    negative exactly when a discrepancy lengthens the register.
+    """
+    _check_words(z, period)
+    n = z.size
+    c = np.ones(n, np.uint64)
+    bs = np.full(n, 2, np.uint64)
+    rev = np.zeros(n, np.uint64)
+    e = np.full(n, -1, np.int64)
+    d = np.empty(n, np.uint64)
+    g = np.empty(n, np.int64)
+    x = np.empty(n, np.uint64)
+    y = np.empty(n, np.uint64)
+    gu, one = g.view(np.uint64), np.uint64(1)
+    for step in range(2 * period):
+        np.right_shift(z, np.uint64(step % period), out=x)
+        np.bitwise_and(x, one, out=x)
+        np.left_shift(rev, one, out=rev)
+        np.bitwise_or(rev, x, out=rev)
+        np.bitwise_and(c, rev, out=x)
+        np.bitwise_count(x, out=d)
+        np.bitwise_and(d, one, out=d)           # 1 on a discrepancy, else 0
+        np.multiply(bs, d, out=y)               # c ^= b << (n - m) on a discrepancy
+        np.right_shift(e, 63, out=g)
+        np.multiply(gu, d, out=gu)              # all ones where the register lengthens
+        np.bitwise_xor(bs, c, out=x)            # b = old c there
+        np.bitwise_and(x, gu, out=x)
+        np.bitwise_xor(bs, x, out=bs)
+        np.left_shift(bs, one, out=bs)
+        np.bitwise_xor(c, y, out=c)
+        np.bitwise_xor(e, g, out=e)             # lc -> n + 1 - lc negates e ...
+        np.subtract(e, g, out=e)
+        np.subtract(e, 1, out=e)                # ... and each step lowers it by one
+    return (e + 2 * period + 1) >> 1
+
+
+def min_period_words(z: np.ndarray, period: int) -> np.ndarray:
+    """Each lane's smallest period dividing `period`, as int64.
+
+    The descent of min_period_packed in every lane at once: for each prime
+    q of `period`, once per time it divides `period` (so q still divides the
+    lane's current period P), P drops to P/q when the lane is unchanged by
+    rotation by P/q.
+    """
+    _check_words(z, period)
+    out = np.full(z.size, period, np.uint64)
+    mask, width = np.uint64((1 << period) - 1), np.uint64(period)
+    for q in _prime_factors(period):
+        r = out // np.uint64(q)
+        rotated = ((z << r) | (z >> (width - r))) & mask
+        out = np.where(rotated == z, r, out)
+    return out.astype(np.int64)

@@ -1,12 +1,23 @@
 """Empirical census and Monte Carlo measurement of filter quality.
 
 Every trial builds one period of the filtered sequence, measures its linear
-complexity (one GF(2)[x] gcd) and its exact minimal period, and counts how
-many filters reach the ceiling nk(L, k) and the full period 2^L - 1.
-Exhaustive mode walks the whole filter space; Monte Carlo mode
-draws uniformly with a per-trial generator seeded by a counter-based mix
-(blake2b over master seed and trial index), so results are bit-identical
-for a given (L, k, seed, trials) no matter how trials are scheduled or how
+complexity and its exact minimal period, and counts how many filters reach
+the ceiling nk(L, k) and the full period 2^L - 1.
+
+Exhaustive mode walks the whole filter space in census blocks of at most
+2^CENSUS_BLOCK_BITS filters: a block's outputs come from xor-ing the
+monomial vectors by subset doubling in census order, and the block is
+measured at once.  Periods N <= complexity.WORD_MAX_PERIOD (L <= 6) go
+through the word kernels, Berlekamp-Massey over 2N bits and the
+prime-factor period descent in one uint64 lane per filter, and the first
+filter of every block is measured again by the scalar kernels as a spot
+check; longer periods are measured filter by filter with the scalar gcd
+kernel.  Filter objects are built only when records are asked for.
+
+Monte Carlo mode draws uniformly with a per-trial generator seeded by a
+counter-based mix (blake2b over master seed and trial index) and measures
+each draw with the scalar kernels.  Both modes give bit-identical results
+for a given (L, k, seed, trials) no matter how filters are scheduled or how
 many workers run them.
 """
 from __future__ import annotations
@@ -17,14 +28,17 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import sqrt
+from typing import Iterator
 
 import numpy as np
 
 from . import polytable
 from .anf import (FilterFunction, census_size, enumerate_filters, format_anf,
-                  random_filter)
-from .complexity import min_period_packed, periodic_lc_packed
+                  random_filter, selectable_masks)
+from .complexity import (WORD_MAX_PERIOD, min_period_packed, min_period_words,
+                         periodic_lc_packed, periodic_lc_words)
 from .cosets import nk
 from .field import FieldContext
 from .lfsr import window_table
@@ -33,6 +47,7 @@ from .likelihood import LikelihoodReport, pr_exact
 DESK_MAX_L = 16
 SEED_LIMIT = 1 << 127  # trial_seed packs the master seed into 16 signed bytes
 DEFAULT_TRIALS = 20000
+CENSUS_BLOCK_BITS = 11  # a census block holds at most 2^11 filters: bounded working memory
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -87,6 +102,8 @@ class _SequenceLab:
     A period of output is a packed int with z_n at bit n, the xor of one
     cached value vector per monomial.  A monomial's vector is the AND of its
     taps' vectors, since its value is the product of those window bits.
+    The census takes the same xors a block of filters at a time
+    (census_outputs) and measures each block at once (measure_block).
     This is also where sequence work is capped at DESK_MAX_L.
     """
 
@@ -124,6 +141,59 @@ class _SequenceLab:
         """(linear complexity, minimal period) of a packed output period."""
         return periodic_lc_packed(z, self.period), min_period_packed(z, self.period)
 
+    def census_outputs(self, k: int, start: int, stop: int) -> Iterator[np.ndarray]:
+        """Output periods of census filters start..stop-1, in census blocks.
+
+        Census index i is selector s = i + 2^n_low (anf.selectable_masks), and
+        its output is the xor of the vectors of the selector's set bits.  A
+        table over the low CENSUS_BLOCK_BITS selector bits is built by subset
+        doubling, table[j | 1 << t] = table[j] ^ vec[t]; an aligned block of
+        selectors is that table xor the vectors of its shared high bits.
+        Lanes are uint64 for periods of at most WORD_MAX_PERIOD bits, else
+        Python ints in an object array.
+        """
+        pool, n_low = selectable_masks(self.ctx.L, k)
+        vecs = [0] * len(pool)
+        for mask, bit in pool:
+            vecs[bit] = self._vector(mask)
+        lane = np.uint64 if self.period <= WORD_MAX_PERIOD else np.object_
+        width = min(CENSUS_BLOCK_BITS, len(pool))
+        table = np.zeros(1, lane)
+        for vec in vecs[:width]:
+            table = np.concatenate([table, table ^ lane(vec)])
+        size = 1 << width
+        selector, last = start + (1 << n_low), stop + (1 << n_low)
+        while selector < last:
+            base = selector & -size
+            end = min(base + size, last)
+            head = 0
+            for t in range(width, len(pool)):
+                if base >> t & 1:
+                    head ^= vecs[t]
+            yield table[selector - base:end - base] ^ lane(head)
+            selector = end
+
+    def measure_block(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(linear complexities, minimal periods) of a census block, as int64 arrays.
+
+        The one dispatch on the period: word kernels up to WORD_MAX_PERIOD
+        bits, spot-checked against the scalar kernels on the block's first
+        filter (a mismatch is a bug, raised as AssertionError), and the
+        scalar kernels filter by filter beyond.
+        """
+        if self.period > WORD_MAX_PERIOD:
+            pairs = [self.measure(v) for v in z]
+            return (np.array([lc for lc, _ in pairs], np.int64),
+                    np.array([per for _, per in pairs], np.int64))
+        lcs, periods = periodic_lc_words(z, self.period), min_period_words(z, self.period)
+        first = int(z[0])
+        scalar = self.measure(first)
+        if scalar != (lcs[0], periods[0]):
+            raise AssertionError(
+                f"word kernels give (lc, period) = ({lcs[0]}, {periods[0]}) but the "
+                f"scalar kernels {scalar} for the output {first:#x}")
+        return lcs, periods
+
 
 def trial_seed(master_seed: int, index: int) -> int:
     """Counter-based 64-bit sub-seed: blake2b over (master seed, index)."""
@@ -148,16 +218,23 @@ def _measure_chunk(args: tuple[FieldContext, int, int | None, int, int, bool]
     ctx, k, seed, lo, hi, collect = args
     lab = _SequenceLab(ctx)
     L = ctx.L
-    if seed is None:
-        filters = enumerate_filters(L, k, start=lo, stop=hi)
-    else:
-        filters = (random_filter(L, k, random.Random(trial_seed(seed, i)))
-                   for i in range(lo, hi))
     target = nk(L, k)
     hits_lc = 0
     hits_period = 0
     records = [] if collect else None
-    for f in filters:
+    if seed is None:
+        filters = enumerate_filters(L, k, start=lo, stop=hi) if collect else None
+        for z in lab.census_outputs(k, lo, hi):
+            lcs, periods = lab.measure_block(z)
+            hits_lc += int(np.count_nonzero(lcs == target))
+            hits_period += int(np.count_nonzero(periods == lab.period))
+            if collect:
+                records += [TrialRecord(format_anf(f), lc, per, lc == target)
+                            for f, lc, per in zip(islice(filters, len(z)), lcs.tolist(),
+                                                  periods.tolist())]
+        return hits_lc, hits_period, records
+    for i in range(lo, hi):
+        f = random_filter(L, k, random.Random(trial_seed(seed, i)))
         lc, per = lab.measure(lab.filter_period_packed(f))
         is_max = lc == target
         hits_lc += is_max

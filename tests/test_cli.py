@@ -249,3 +249,34 @@ def test_missing_subcommand_is_usage_error(capsys):
     code, out, err = run(capsys)
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_enumerate_csv_rows_match_per_filter_oracle(capsys, tmp_path, k):
+    from filtropt import anf, complexity, cosets
+
+    ctx = polytable.context_for(4)
+    csv_path = tmp_path / "census.csv"
+    code, _, err = run(capsys, "enumerate", "-L", "4", "-k", str(k), "--csv", str(csv_path))
+    assert code == 0, err
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
+    assert rows[0] == ["filter_anf", "lc", "period", "is_max"]
+    want = []
+    for f in anf.enumerate_filters(4, k):
+        z = complexity.bits_to_int(anf.filter_sequence(f, ctx))
+        lc = complexity.periodic_lc_packed(z, 15)
+        want.append([anf.format_anf(f), str(lc), str(complexity.min_period_packed(z, 15)),
+                     str(int(lc == cosets.nk(4, k)))])
+    assert rows[1:] == want
+
+
+def test_enumerate_l6_k2_census(capsys):
+    from filtropt import nfm
+
+    payload = run_json(capsys, "enumerate", "-L", "6", "-k", "2")
+    assert payload["trials"] == 2097088
+    assert payload["hits_max_lc"] == nfm(6, 2) == 1750329
+    # nfk - 511: 2^9 - 1 filters put their whole spectrum on cosets 3 and 9
+    # (cardinals 6 and 3, periods 21 and 7), so their period stays below 63
+    assert payload["hits_max_period"] == 2096577 == 2097088 - 511
+    assert payload["verdict"]["ok"] is True

@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from filtropt import (context_for, linear_complexity_periodic, min_period, random_filter,
-                      window_table)
-from filtropt.complexity import (berlekamp_massey_packed, bits_to_int,
-                                 min_period_packed, periodic_lc_packed)
+from filtropt import (context_for, count_filters, enumerate_filters,
+                      linear_complexity_periodic, min_period, random_filter, window_table)
+from filtropt.anf import ENUMERATION_CAP
+from filtropt.complexity import (berlekamp_massey_packed, bits_to_int, min_period_packed,
+                                 min_period_words, periodic_lc_packed, periodic_lc_words)
 from filtropt.experiment import _SequenceLab
 
 from oracles import (berlekamp_massey_reference, brute_force_lfsr_length, lfsr_replays,
@@ -199,3 +201,67 @@ def test_packed_match_oracles_exhaustive_short_periods(n):
 def test_packed_match_oracles_exhaustive_period_15():
     for z in range(1 << 15):
         _assert_packed_match_oracles(z, 15)
+
+
+# --- word kernels: many periods of at most 63 bits, one uint64 lane each ---
+
+def _assert_words_match_scalar(zs, n):
+    z = np.array(zs, np.uint64)
+    lcs, periods = periodic_lc_words(z, n), min_period_words(z, n)
+    assert lcs.dtype == periods.dtype == np.int64
+    assert lcs.tolist() == [periodic_lc_packed(v, n) for v in zs]
+    assert periods.tolist() == [min_period_packed(v, n) for v in zs]
+
+
+@pytest.mark.parametrize("L, k", [(L, k) for L in range(2, 6) for k in range(1, L + 1)
+                                  if count_filters(L, k) <= ENUMERATION_CAP])
+def test_words_match_scalar_on_every_census_filter(L, k):
+    lab = _SequenceLab(context_for(L))
+    zs = [lab.filter_period_packed(f) for f in enumerate_filters(L, k)]
+    _assert_words_match_scalar(zs, lab.period)
+
+
+def test_words_match_scalar_on_sampled_l6_filters():
+    lab = _SequenceLab(context_for(6))
+    rng = random.Random(606)
+    _assert_words_match_scalar([lab.filter_period_packed(random_filter(6, 2, rng))
+                                for _ in range(3000)], 63)
+
+
+def test_words_match_scalar_on_n63_edge_words():
+    n = 63
+    ones = (1 << n) - 1
+    zs = [0, ones, 1, 1 << (n - 1), ones ^ 1, ones ^ (1 << (n - 1))]
+    rng = random.Random(63)
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        for block in (1, (1 << d) - 1, rng.getrandbits(d)):
+            z = sum(block << s for s in range(0, n, d))
+            zs += [z] + [z ^ 1 << rng.randrange(n) for _ in range(3)]
+    _assert_words_match_scalar(zs, n)
+
+
+@pytest.mark.parametrize("n", range(1, 64))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_words_match_list_oracles(n, data):
+    zs = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    z = np.array(zs, np.uint64)
+    lcs, periods = periodic_lc_words(z, n), min_period_words(z, n)
+    for v, lc, period in zip(zs, lcs.tolist(), periods.tolist()):
+        bits = _bits(v, n)
+        assert lc == berlekamp_massey_reference(bits * 2)[0]
+        assert period == naive_min_period(bits)
+
+
+@pytest.mark.parametrize("measure", [periodic_lc_words, min_period_words])
+@pytest.mark.parametrize("z, period", [
+    (np.zeros(3, np.uint64), 0),
+    (np.zeros(3, np.uint64), 64),
+    (np.zeros(3, np.int64), 5),
+    (np.zeros((2, 2), np.uint64), 5),
+    ([1, 2], 5),
+    (np.array([1, 32], np.uint64), 5),
+])
+def test_words_reject_bad_lanes(measure, z, period):
+    with pytest.raises(ValueError):
+        measure(z, period)

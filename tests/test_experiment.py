@@ -1,13 +1,15 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
-from filtropt import (compare, context_for, filter_sequence,
-                      linear_complexity_periodic, min_period, nfm, parse_anf,
-                      pr_report, random_filter, run_exhaustive, run_monte_carlo,
-                      wilson_interval)
-from filtropt import experiment
+from filtropt import (compare, context_for, count_filters, enumerate_filters,
+                      filter_sequence, linear_complexity_periodic, min_period, nfm,
+                      parse_anf, pr_report, random_filter, run_exhaustive,
+                      run_monte_carlo, wilson_interval)
+from filtropt import cli, experiment
+from filtropt.anf import ENUMERATION_CAP
 from filtropt.complexity import bits_to_int
 from filtropt.experiment import _SequenceLab, trial_seed
 
@@ -206,3 +208,66 @@ def test_trial_seed_mixing():
     assert len(seen) == 1000
     assert trial_seed(42, 1) != trial_seed(43, 1)
     assert trial_seed(-5, 7) != trial_seed(5, 7)
+
+
+@pytest.mark.parametrize("L, k", [(L, k) for L in range(2, 6) for k in range(1, L + 1)
+                                  if count_filters(L, k) <= ENUMERATION_CAP])
+def test_census_outputs_match_per_filter_producer(L, k):
+    lab = _SequenceLab(context_for(L))
+    total = count_filters(L, k)
+    want = [lab.filter_period_packed(f) for f in enumerate_filters(L, k)]
+    for lo, hi in {(0, total), (total // 3, total - 1), (5, min(total, 2100))}:
+        blocks = list(lab.census_outputs(k, lo, hi))
+        assert all(1 <= len(z) <= 1 << experiment.CENSUS_BLOCK_BITS for z in blocks)
+        assert [int(v) for z in blocks for v in z] == want[lo:hi]
+
+
+def test_census_outputs_past_one_word():
+    # L = 7: 127-bit periods ride in an object array and take the scalar kernels
+    lab = _SequenceLab(context_for(7))
+    want = [lab.filter_period_packed(f) for f in enumerate_filters(7, 1)]
+    (z,) = lab.census_outputs(1, 0, 127)
+    assert z.dtype == object and z.tolist() == want
+    lcs, periods = lab.measure_block(z)
+    assert list(zip(lcs.tolist(), periods.tolist())) == [lab.measure(v) for v in want]
+
+
+def test_census_split_identity_l5(monkeypatch):
+    # two workers split 32736 filters at 16368, inside a census block
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    chunks = []
+    measure_chunk = experiment._measure_chunk
+    monkeypatch.setattr(experiment, "_measure_chunk",
+                        lambda args: chunks.append(args[3:5]) or measure_chunk(args))
+    serial = run_exhaustive(5, 2, collect_records=True)
+    pooled = run_exhaustive(5, 2, jobs=2, collect_records=True)
+    assert chunks == [(0, 32736), (0, 16368), (16368, 32736)]
+    assert 16368 % (1 << experiment.CENSUS_BLOCK_BITS)
+    assert pooled == serial
+    assert (serial.hits_max_lc, serial.hits_max_period) == (nfm(5, 2), 32736)
+
+
+@pytest.mark.parametrize("patched", ["periodic_lc_packed", "min_period_packed"])
+def test_census_spot_check_catches_a_disagreeing_kernel(monkeypatch, patched):
+    original = getattr(experiment, patched)
+    monkeypatch.setattr(experiment, patched, lambda z, n: original(z, n) + 1)
+    with pytest.raises(AssertionError, match="word kernels"):
+        run_exhaustive(3, 2)
+    assert cli.main(["enumerate", "-L", "3", "-k", "2"]) == 3
+
+
+def test_census_working_memory_is_bounded():
+    run_exhaustive(5, 2)  # warm the per-(L, k) caches
+    tracemalloc.start()
+    try:
+        run_exhaustive(5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_census_outputs_of_an_empty_range():
+    lab = _SequenceLab(context_for(4))
+    assert list(lab.census_outputs(2, 7, 7)) == []
