@@ -11,8 +11,8 @@ measured at once.  Periods N <= complexity.WORD_MAX_PERIOD (L <= 6) go
 through the word kernels, Berlekamp-Massey over 2N bits and the
 prime-factor period descent in one uint64 lane per filter, and the first
 filter of every block is measured again by the scalar kernels as a spot
-check; longer periods are measured filter by filter with the scalar gcd
-kernel.  Filter objects are built only when records are asked for.
+check; longer periods are built and measured filter by filter with the
+scalar gcd kernel.  Filter objects are built only when records are asked for.
 
 Monte Carlo mode draws uniformly with a per-trial generator seeded by a
 counter-based mix (blake2b over master seed and trial index) and measures
@@ -149,15 +149,18 @@ class _SequenceLab:
         table over the low CENSUS_BLOCK_BITS selector bits is built by subset
         doubling, table[j | 1 << t] = table[j] ^ vec[t]; an aligned block of
         selectors is that table xor the vectors of its shared high bits.
-        Lanes are uint64 for periods of at most WORD_MAX_PERIOD bits, else
-        Python ints in an object array.
+        Lanes are uint64 for periods of at most WORD_MAX_PERIOD bits.  Longer
+        periods are Python ints in an object array, one filter per block:
+        their scalar kernels gain nothing from a table, which at L = 16 would
+        hold 2^11 outputs of 65535 bits (16 MB).
         """
         pool, n_low = selectable_masks(self.ctx.L, k)
         vecs = [0] * len(pool)
         for mask, bit in pool:
             vecs[bit] = self._vector(mask)
-        lane = np.uint64 if self.period <= WORD_MAX_PERIOD else np.object_
-        width = min(CENSUS_BLOCK_BITS, len(pool))
+        words = self.period <= WORD_MAX_PERIOD
+        lane = np.uint64 if words else np.object_
+        width = min(CENSUS_BLOCK_BITS if words else 0, len(pool))
         table = np.zeros(1, lane)
         for vec in vecs[:width]:
             table = np.concatenate([table, table ^ lane(vec)])
