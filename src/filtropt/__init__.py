@@ -14,7 +14,7 @@ from .anf import (FilterFunction, count_filters, enumerate_filters, evaluate,
 from .complexity import linear_complexity_periodic, min_period
 from .cosets import (CyclotomicCoset, cardinal_counts, coset_of, coset_period,
                      cosets_up_to_weight, nk)
-from .field import FieldContext, FieldElement, is_primitive
+from .field import FieldContext, FieldElement
 from .lfsr import trace_consistency, window_table
 from .likelihood import LikelihoodReport, ln_probability_parts, nfm, pr_exact, pr_report
 from .polytable import context_for, polynomial_for, supported_lengths
@@ -26,7 +26,7 @@ from .experiment import (ExperimentSummary, TrialRecord, Verdict, compare,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldContext", "FieldElement", "is_primitive",
+    "FieldContext", "FieldElement",
     "trace_consistency", "window_table",
     "FilterFunction", "evaluate", "filter_sequence", "count_filters",
     "random_filter", "enumerate_filters", "parse_anf", "format_anf",

@@ -131,8 +131,10 @@ def cardinal_counts(L: int, k: int) -> dict[int, int]:
     An exponent has orbit size dividing d iff its L-bit string is L/d
     repetitions of a d-bit block, so the fixed counts are block-weight
     binomials and Moebius inversion over the divisors of L isolates each
-    exact orbit size.  Works for any L, including ones where 2^L - 1 is far
-    beyond enumeration range.
+    exact orbit size.  The cardinals must add up to the fixed count at
+    d = L, all nk(L, k) exponents: a failed inversion raises AssertionError.
+    Works for any L, including ones where 2^L - 1 is far beyond enumeration
+    range.
     """
     if not 1 <= k <= L:
         raise ValueError(f"weight bound k={k} outside [1, {L}]")
@@ -146,6 +148,8 @@ def cardinal_counts(L: int, k: int) -> dict[int, int]:
             if g % d:
                 raise AssertionError(f"orbit count {g} not divisible by size {d}")
             counts[d] = g // d
+    if sum(d * c for d, c in counts.items()) != fixed[L]:
+        raise AssertionError("coset cardinals do not cover the binomial sum")
     return counts
 
 

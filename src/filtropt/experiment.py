@@ -7,12 +7,13 @@ the ceiling nk(L, k) and the full period 2^L - 1.
 Exhaustive mode walks the whole filter space in census blocks of at most
 2^CENSUS_BLOCK_BITS filters: a block's outputs come from xor-ing the
 monomial vectors by subset doubling in census order, and the block is
-measured at once.  Periods N <= complexity.WORD_MAX_PERIOD (L <= 6) go
-through the word kernels, Berlekamp-Massey over 2N bits and the
-prime-factor period descent in one uint64 lane per filter, and the first
+measured at once by the word kernels, Berlekamp-Massey over 2N bits and
+the prime-factor period descent in one uint64 lane per filter; the first
 filter of every block is measured again by the scalar kernels as a spot
-check; longer periods are built and measured filter by filter with the
-scalar gcd kernel.  Filter objects are built only when records are asked for.
+check.  That takes periods N <= complexity.WORD_MAX_PERIOD (L <= 6); a
+longer census walks its filters one at a time, like Monte Carlo.  Census
+filter objects are built only when records are asked for or the period is
+long.
 
 Monte Carlo mode draws uniformly with a per-trial generator seeded by a
 counter-based mix (blake2b over master seed and trial index) and measures
@@ -44,7 +45,6 @@ from .field import FieldContext
 from .lfsr import window_table
 from .likelihood import LikelihoodReport, pr_exact
 
-DESK_MAX_L = 16
 SEED_LIMIT = 1 << 127  # trial_seed packs the master seed into 16 signed bytes
 DEFAULT_TRIALS = 20000
 CENSUS_BLOCK_BITS = 11  # a census block holds at most 2^11 filters: bounded working memory
@@ -102,16 +102,12 @@ class _SequenceLab:
     A period of output is a packed int with z_n at bit n, the xor of one
     cached value vector per monomial.  A monomial's vector is the AND of its
     taps' vectors, since its value is the product of those window bits.
-    The census takes the same xors a block of filters at a time
-    (census_outputs) and measures each block at once (measure_block).
-    This is also where sequence work is capped at DESK_MAX_L.
+    A census of word-sized periods takes the same xors a block of filters
+    at a time (census_outputs) and measures each block at once
+    (measure_block).
     """
 
     def __init__(self, ctx: FieldContext, initial_state: int = 1):
-        if ctx.L > DESK_MAX_L:
-            raise ValueError(
-                f"sequence work is capped at L <= {DESK_MAX_L} "
-                f"(analytic reports remain available for any L)")
         self.ctx = ctx
         self.period = ctx.order
         windows = window_table(ctx, initial_state)
@@ -149,21 +145,16 @@ class _SequenceLab:
         table over the low CENSUS_BLOCK_BITS selector bits is built by subset
         doubling, table[j | 1 << t] = table[j] ^ vec[t]; an aligned block of
         selectors is that table xor the vectors of its shared high bits.
-        Lanes are uint64 for periods of at most WORD_MAX_PERIOD bits.  Longer
-        periods are Python ints in an object array, one filter per block:
-        their scalar kernels gain nothing from a table, which at L = 16 would
-        hold 2^11 outputs of 65535 bits (16 MB).
+        Lanes are uint64, so the period must be at most WORD_MAX_PERIOD bits.
         """
         pool, n_low = selectable_masks(self.ctx.L, k)
         vecs = [0] * len(pool)
         for mask, bit in pool:
             vecs[bit] = self._vector(mask)
-        words = self.period <= WORD_MAX_PERIOD
-        lane = np.uint64 if words else np.object_
-        width = min(CENSUS_BLOCK_BITS if words else 0, len(pool))
-        table = np.zeros(1, lane)
+        width = min(CENSUS_BLOCK_BITS, len(pool))
+        table = np.zeros(1, np.uint64)
         for vec in vecs[:width]:
-            table = np.concatenate([table, table ^ lane(vec)])
+            table = np.concatenate([table, table ^ np.uint64(vec)])
         size = 1 << width
         selector, last = start + (1 << n_low), stop + (1 << n_low)
         while selector < last:
@@ -173,21 +164,15 @@ class _SequenceLab:
             for t in range(width, len(pool)):
                 if base >> t & 1:
                     head ^= vecs[t]
-            yield table[selector - base:end - base] ^ lane(head)
+            yield table[selector - base:end - base] ^ np.uint64(head)
             selector = end
 
     def measure_block(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(linear complexities, minimal periods) of a census block, as int64 arrays.
 
-        The one dispatch on the period: word kernels up to WORD_MAX_PERIOD
-        bits, spot-checked against the scalar kernels on the block's first
-        filter (a mismatch is a bug, raised as AssertionError), and the
-        scalar kernels filter by filter beyond.
+        The word kernels, spot-checked against the scalar kernels on the
+        block's first filter (a mismatch is a bug, raised as AssertionError).
         """
-        if self.period > WORD_MAX_PERIOD:
-            pairs = [self.measure(v) for v in z]
-            return (np.array([lc for lc, _ in pairs], np.int64),
-                    np.array([per for _, per in pairs], np.int64))
         lcs, periods = periodic_lc_words(z, self.period), min_period_words(z, self.period)
         first = int(z[0])
         scalar = self.measure(first)
@@ -225,7 +210,7 @@ def _measure_chunk(args: tuple[FieldContext, int, int | None, int, int, bool]
     hits_lc = 0
     hits_period = 0
     records = [] if collect else None
-    if seed is None:
+    if seed is None and lab.period <= WORD_MAX_PERIOD:
         filters = enumerate_filters(L, k, start=lo, stop=hi) if collect else None
         for z in lab.census_outputs(k, lo, hi):
             lcs, periods = lab.measure_block(z)
@@ -236,8 +221,12 @@ def _measure_chunk(args: tuple[FieldContext, int, int | None, int, int, bool]
                             for f, lc, per in zip(islice(filters, len(z)), lcs.tolist(),
                                                   periods.tolist())]
         return hits_lc, hits_period, records
-    for i in range(lo, hi):
-        f = random_filter(L, k, random.Random(trial_seed(seed, i)))
+    if seed is None:
+        filters = enumerate_filters(L, k, start=lo, stop=hi)
+    else:
+        filters = (random_filter(L, k, random.Random(trial_seed(seed, i)))
+                   for i in range(lo, hi))
+    for f in filters:
         lc, per = lab.measure(lab.filter_period_packed(f))
         is_max = lc == target
         hits_lc += is_max

@@ -8,25 +8,9 @@ phase is state 1, meaning a_0 = 1 and a_1 = ... = a_(L-1) = 0.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .field import FieldContext, _check_period
-
-
-@lru_cache(maxsize=32)
-def _window_table(ctx: FieldContext, initial_state: int) -> np.ndarray:
-    taps = ctx.modulus & ctx.order  # coefficients below degree L
-    top = ctx.L - 1
-    states = []
-    state = initial_state
-    for _ in range(ctx.order):
-        states.append(state)
-        state = state >> 1 | ((state & taps).bit_count() & 1) << top
-    table = np.array(states, dtype=np.int64)
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
 
 
 def window_table(ctx: FieldContext, initial_state: int = 1) -> np.ndarray:
@@ -34,22 +18,27 @@ def window_table(ctx: FieldContext, initial_state: int = 1) -> np.ndarray:
 
     The window at n, (a_n, ..., a_(n+L-1)) packed with a_(n+i) at bit i, is
     the register state after n clocks, so window_table(ctx, s) & 1 is the
-    m-sequence from state s.
+    m-sequence from state s.  The context clocked the register from state 1
+    when it verified its modulus, and every nonzero state lies on that one
+    cycle, so the table from s is the state-1 table rotated to start at s.
     """
     if not isinstance(initial_state, int) or initial_state <= 0 or initial_state >> ctx.L:
         raise ValueError(
             f"initial state must be a nonzero {ctx.L}-bit value, got {initial_state!r}")
-    return _window_table(ctx, initial_state)
+    table = ctx._windows
+    rotated = np.roll(table, -int(np.flatnonzero(table == initial_state)[0]))
+    rotated.flags.writeable = False
+    return rotated
 
 
 def trace_consistency(ctx: FieldContext, z: int) -> bool:
     """Whether z_n = trace(c * alpha^n) for some nonzero c over one packed period.
 
     Every nonzero c is alpha^t, so the trace-form sequences are exactly the
-    rotations of s = (trace(alpha^n))_n, read from the field's exp table
-    (L <= 20) as parity(alpha^n & trace_mask).  The L-bit windows of s run
-    once through every nonzero value, so only the t whose window matches
-    z's first L bits can work; then one rotation is compared.
+    rotations of s = (trace(alpha^n))_n, read from the field's exp table as
+    parity(alpha^n & trace_mask).  The L-bit windows of s run once through
+    every nonzero value, so only the t whose window matches z's first L bits
+    can work; then one rotation is compared.
     """
     order, L = ctx.order, ctx.L
     _check_period(z, order)

@@ -1,10 +1,11 @@
-"""Embedded table of verified primitive polynomials with factorizations.
+"""Embedded table of primitive polynomials, one per register length.
 
-One record per supported register length L: a primitive polynomial of
-degree L (hex bitmask, bit i = coefficient of x^i) and the prime
-factorization of 2^L - 1 needed to re-verify primitivity.  The table ships
-as package data; the FILTROPT_POLY_TABLE environment variable may point at
-a replacement JSON file with the same shape.
+One record per length L = 2..field.DESK_MAX_L: a primitive polynomial of
+degree L as a hex bitmask under "poly" (bit i = coefficient of x^i).  The
+table ships as package data; the FILTROPT_POLY_TABLE environment variable
+may point at a replacement JSON file with the same shape.  Other keys in a
+record (older tables carried "factors") are ignored: a polynomial is
+verified by FieldContext, which clocks its register over one period.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import os
 from functools import lru_cache
 from importlib import resources
 
-from .field import FieldContext
+from .field import FieldContext, _check_length
 
 ENV_TABLE_VAR = "FILTROPT_POLY_TABLE"
 
@@ -23,7 +24,7 @@ def _table_path() -> str | None:
 
 
 @lru_cache(maxsize=4)
-def _load(path: str | None) -> dict[int, tuple[int, tuple[int, ...]]]:
+def _load(path: str | None) -> dict[int, int]:
     if path is None:
         return _parse(json.loads(
             resources.files("filtropt").joinpath("data/polynomials.json").read_text()))
@@ -35,13 +36,12 @@ def _load(path: str | None) -> dict[int, tuple[int, tuple[int, ...]]]:
                          f"({type(exc).__name__}: {exc})") from None
 
 
-def _parse(raw) -> dict[int, tuple[int, tuple[int, ...]]]:
-    return {int(key): (int(rec["poly"], 16), tuple(int(f) for f in rec["factors"]))
-            for key, rec in raw.items()}
+def _parse(raw) -> dict[int, int]:
+    return {int(key): int(rec["poly"], 16) for key, rec in raw.items()}
 
 
-def table() -> dict[int, tuple[int, tuple[int, ...]]]:
-    """The active polynomial table: L -> (poly bitmask, factor tuple)."""
+def table() -> dict[int, int]:
+    """The active polynomial table: L -> poly bitmask."""
     return _load(_table_path())
 
 
@@ -52,38 +52,25 @@ def supported_lengths() -> list[int]:
 def polynomial_for(L: int) -> int:
     """The embedded primitive polynomial for L, or a ValueError naming options."""
     try:
-        return table()[L][0]
+        return table()[L]
     except KeyError:
         raise ValueError(
             f"no embedded polynomial for L={L}; supported lengths: "
             f"{supported_lengths()}") from None
 
 
-def factorization_for(L: int) -> tuple[int, ...]:
-    """Prime factorization (with multiplicity) of 2^L - 1 for a table L."""
-    try:
-        return table()[L][1]
-    except KeyError:
-        raise ValueError(
-            f"no embedded factorization for L={L}; supported lengths: "
-            f"{supported_lengths()}") from None
-
-
 @lru_cache(maxsize=64)
-def _context(path: str | None, L: int, poly: int) -> FieldContext:
-    return FieldContext(L, poly, _load(path)[L][1])
+def _context(L: int, poly: int) -> FieldContext:
+    return FieldContext(L, poly)
 
 
 def context_for(L: int, poly: int | None = None) -> FieldContext:
     """A verified FieldContext for L, with the embedded or a user polynomial.
 
-    A user polynomial is vetted against the embedded factorization; without
-    a table entry for L there is nothing to vet against and the call fails.
+    A length past the sequence cap is refused as such before the table is
+    consulted for a missing entry.
     """
-    if L not in table():
-        raise ValueError(
-            f"L={L} has no table entry (needed for the factorization of 2^L - 1); "
-            f"supported lengths: {supported_lengths()}")
     if poly is None:
+        _check_length(L)
         poly = polynomial_for(L)
-    return _context(_table_path(), L, poly)
+    return _context(L, poly)

@@ -2,8 +2,10 @@
 
 Nothing here may share code paths with the package: the LFSR search is a
 literal scan over every candidate tap mask, Berlekamp-Massey, the register
-recurrence and the LFSR replay run on plain bit lists, and the trace and
-spectral references work on coefficient lists rather than bitmasks.
+recurrence and the LFSR replay run on plain bit lists, the trace and
+spectral references work on coefficient lists rather than bitmasks, and
+primitivity is the order of x computed by square-and-multiply against a
+trial-division factorization of 2^L - 1, where the package clocks a register.
 """
 from __future__ import annotations
 
@@ -65,6 +67,57 @@ def poly_list_mulmod(a: list[int], b: list[int], mod: list[int]) -> list[int]:
             prod[shift + j] ^= mj
     prod += [0] * (deg_m - len(prod))
     return prod[:deg_m]
+
+
+def mulmod(a: int, b: int, mod: int) -> int:
+    """Shift-and-add product of two GF(2)[x] bitmasks, reduced modulo mod."""
+    deg = mod.bit_length() - 1
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> deg:
+            a ^= mod
+    return r
+
+
+def powmod(a: int, e: int, mod: int) -> int:
+    """a^e modulo mod by square-and-multiply, for e >= 0."""
+    r = 1
+    while e:
+        if e & 1:
+            r = mulmod(r, a, mod)
+        a = mulmod(a, a, mod)
+        e >>= 1
+    return r
+
+
+def x_has_full_order(poly: int, L: int) -> bool:
+    """Whether x has multiplicative order 2^L - 1 modulo the degree-L poly.
+
+    That is the definition of a primitive polynomial: x^(2^L - 1) = 1 and
+    x^((2^L - 1)/p) != 1 for every prime p dividing 2^L - 1.  A poly
+    divisible by x has no x^-1, so it fails the first test.  Candidates
+    with x^(2^L) != x, which are most of them, are refused after L squarings.
+    """
+    order = (1 << L) - 1
+    x = 0b10
+    t = x
+    for _ in range(L):
+        t = mulmod(t, t, poly)
+    if t != x or powmod(x, order, poly) != 1:
+        return False
+    primes, n, d = set(), order, 2
+    while d * d <= n:
+        while n % d == 0:
+            primes.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        primes.add(n)
+    return all(powmod(x, order // p, poly) != 1 for p in primes)
 
 
 def trace_reference(a_bits: list[int], mod: list[int], L: int) -> int:

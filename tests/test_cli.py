@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from filtropt import cli, experiment, polytable, spectral
+from filtropt import cli, field, polytable, spectral
 
 
 def run(capsys, *argv):
@@ -106,7 +106,7 @@ def test_unknown_length_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (["analyze", "-L", str(experiment.DESK_MAX_L + 1), "--filter", "x0"], "capped"),
+    (["analyze", "-L", str(field.DESK_MAX_L + 1), "--filter", "x0"], "capped"),
     (["analyze", "-L", "4", "--filter", "x0", "--state", "zz"], "--state"),
     (["analyze", "-L", "4", "--filter", "x0", "--poly", "1g"], "--poly"),
     (["sample", "-L", "5", "-k", "2", "--trials", "3", "--seed", str(1 << 127)], "seed"),
@@ -127,6 +127,11 @@ def test_unknown_length_rejected(capsys):
     (["prob", "-L", "5", "-k", "2", "--digits", "100000"], "digits"),
     (["analyze", "-L", "4", "--filter", "x0", "--state", "0"], "initial state"),
     (["analyze", "-L", "4", "--filter", "x0", "--state", "10"], "initial state"),
+    (["lc", "--bits", "@/dev/zero"], "cap"),
+    (["lc", "--bits", "01" * (cli.LC_MAX_BITS // 2) + "1"], "cap"),
+    (["enumerate", "-L", "17", "-k", "1"], "capped"),
+    (["sample", "-L", "17", "-k", "3", "--trials", "5"], "capped"),
+    (["analyze", "-L", "17", "--poly", "20009", "--filter", "x0"], "capped"),
 ])
 def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
@@ -147,7 +152,7 @@ def test_internal_check_failure_exits_3(capsys, monkeypatch):
     assert err.startswith("internal error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("content", [None, "not json", '{"5": {"poly": "25"}}', "[1, 2]"])
+@pytest.mark.parametrize("content", [None, "not json", '{"5": {"factors": ["31"]}}', "[1, 2]"])
 def test_bad_poly_table_file_exits_1(capsys, monkeypatch, tmp_path, content):
     path = tmp_path / "table.json"
     if content is not None:

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from filtropt import (compare, context_for, count_filters, enumerate_filters,
-                      filter_sequence, linear_complexity_periodic, min_period, nfm,
+                      filter_sequence, format_anf, linear_complexity_periodic, min_period, nfm,
                       parse_anf, pr_report, random_filter, run_exhaustive,
                       run_monte_carlo, wilson_interval)
 from filtropt import cli, experiment
@@ -222,16 +222,16 @@ def test_census_outputs_match_per_filter_producer(L, k):
         assert [int(v) for z in blocks for v in z] == want[lo:hi]
 
 
-def test_census_outputs_past_one_word():
-    # L = 7: 127-bit periods ride in an object array and take the scalar kernels
+def test_census_past_one_word_measures_each_filter():
+    # L = 7: 127-bit periods do not fit a word lane, so the census walks its
+    # filters one at a time through the scalar kernels, in census order
+    census = run_exhaustive(7, 1, collect_records=True)
     lab = _SequenceLab(context_for(7))
-    want = [lab.filter_period_packed(f) for f in enumerate_filters(7, 1)]
-    # one filter per block: a table of long periods would only cost memory
-    blocks = list(lab.census_outputs(1, 0, 127))
-    assert all(z.dtype == object and len(z) == 1 for z in blocks)
-    assert [z[0] for z in blocks] == want
-    measured = [lab.measure_block(z) for z in blocks]
-    assert [(lcs[0], periods[0]) for lcs, periods in measured] == [lab.measure(v) for v in want]
+    want = [lab.measure(lab.filter_period_packed(f)) for f in enumerate_filters(7, 1)]
+    assert [(rec.lc, rec.period) for rec in census.records] == want
+    assert [rec.filter_anf for rec in census.records] == [
+        format_anf(f) for f in enumerate_filters(7, 1)]
+    assert (census.hits_max_lc, census.hits_max_period) == (nfm(7, 1), 127)
 
 
 def test_census_split_identity_l5(monkeypatch):

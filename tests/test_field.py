@@ -1,12 +1,14 @@
+import pickle
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 
-from filtropt import FieldContext, context_for, is_primitive, supported_lengths
-from filtropt.field import poly_degree, poly_gcd, poly_mulmod, poly_powmod
+from filtropt import FieldContext, context_for, supported_lengths, window_table
+from filtropt.field import DESK_MAX_L, poly_gcd
 
-from oracles import trace_reference
+from oracles import mulmod, powmod, trace_reference, x_has_full_order
 
 
 MOD3 = 0b1011  # x^3 + x + 1, the embedded cubic
@@ -24,40 +26,38 @@ def test_add_is_xor(ctx3):
     # xor is the addition multiplication distributes over, in characteristic 2
     assert 0b011 ^ 0b010 == 1
     for a in range(8):
-        assert poly_mulmod(a, 1 ^ 1, MOD3) == 0
+        assert mulmod(a, 1 ^ 1, MOD3) == 0
         for b in range(8):
             for c in range(8):
-                assert (poly_mulmod(a ^ b, c, MOD3)
-                        == poly_mulmod(a, c, MOD3) ^ poly_mulmod(b, c, MOD3))
+                assert (mulmod(a ^ b, c, MOD3)
+                        == mulmod(a, c, MOD3) ^ mulmod(b, c, MOD3))
 
 
 def test_mul_defining_relation(ctx3):
     # modulus x^3 + x + 1 forces x * x^2 = x + 1
     assert ctx3.modulus == MOD3
-    assert poly_mulmod(0b010, 0b100, MOD3) == 0b011
+    assert mulmod(0b010, 0b100, MOD3) == 0b011
     for a in range(8):
-        assert poly_mulmod(a, 1, MOD3) == a
+        assert mulmod(a, 1, MOD3) == a
     exp, log = ctx3.exp_table, ctx3.log_table
     for a in range(1, 8):
-        assert poly_mulmod(a, poly_powmod(a, ctx3.order - 1, MOD3), MOD3) == 1
+        assert mulmod(a, powmod(a, ctx3.order - 1, MOD3), MOD3) == 1
         for b in range(1, 8):  # the tables multiply by adding logs
-            assert exp[(log[a] + log[b]) % ctx3.order] == poly_mulmod(a, b, MOD3)
+            assert exp[(log[a] + log[b]) % ctx3.order] == mulmod(a, b, MOD3)
 
 
 def test_pow_basics(ctx3):
     alpha = 0b010
-    assert poly_powmod(alpha, 2**3 - 1, MOD3) == 1
-    assert poly_powmod(alpha, ctx3.order + 1, MOD3) == alpha
-    assert poly_powmod(0b010, 3, MOD3) == 0b011  # x^3 = x + 1
+    assert powmod(alpha, 2**3 - 1, MOD3) == 1
+    assert powmod(alpha, ctx3.order + 1, MOD3) == alpha
+    assert powmod(0b010, 3, MOD3) == 0b011  # x^3 = x + 1
     for a in range(1, 8):
-        assert poly_powmod(a, 0, MOD3) == 1
-        assert poly_powmod(a, 2, MOD3) == poly_mulmod(a, a, MOD3)
-    assert poly_powmod(0, 5, MOD3) == 0
-    assert poly_powmod(0, 0, MOD3) == 1
-    with pytest.raises(ValueError, match="negative exponent"):
-        poly_powmod(0, -1, MOD3)
+        assert powmod(a, 0, MOD3) == 1
+        assert powmod(a, 2, MOD3) == mulmod(a, a, MOD3)
+    assert powmod(0, 5, MOD3) == 0
+    assert powmod(0, 0, MOD3) == 1
     for n in range(2 * ctx3.order):
-        assert poly_powmod(alpha, n, MOD3) == ctx3.exp_table[n % ctx3.order]
+        assert powmod(alpha, n, MOD3) == ctx3.exp_table[n % ctx3.order]
 
 
 def test_trace_examples(ctx3):
@@ -78,7 +78,7 @@ def test_trace_matches_definition_randomized():
         for _ in range(50):
             a = rng.randrange(1 << L)
             assert _trace(ctx, a) == trace_reference(_coeffs(a, L), mod, L)
-            assert _trace(ctx, poly_mulmod(a, a, ctx.modulus)) == _trace(ctx, a)
+            assert _trace(ctx, mulmod(a, a, ctx.modulus)) == _trace(ctx, a)
 
 
 def test_frobenius_is_additive():
@@ -89,8 +89,8 @@ def test_frobenius_is_additive():
         for _ in range(50):
             a = rng.randrange(1 << L)
             b = rng.randrange(1 << L)
-            sq_a, sq_b = poly_mulmod(a, a, ctx.modulus), poly_mulmod(b, b, ctx.modulus)
-            assert poly_mulmod(a ^ b, a ^ b, ctx.modulus) == sq_a ^ sq_b
+            sq_a, sq_b = mulmod(a, a, ctx.modulus), mulmod(b, b, ctx.modulus)
+            assert mulmod(a ^ b, a ^ b, ctx.modulus) == sq_a ^ sq_b
             if a:  # squaring doubles the log
                 assert exp[2 * log[a] % ctx.order] == sq_a
 
@@ -110,80 +110,117 @@ def test_alpha_generates_all_nonzero(L):
     assert len(exp) == ctx.order and len(log) == 1 << L
     assert sorted(exp.tolist()) == list(range(1, 1 << L))
     assert (log[exp] == np.arange(ctx.order)).all()
-    assert exp[1] == 2 and poly_mulmod(int(exp[-1]), 2, ctx.modulus) == 1
+    assert exp[1] == 2 and mulmod(int(exp[-1]), 2, ctx.modulus) == 1
     with pytest.raises(ValueError):
         exp[0] = 0  # shared read-only tables
 
 
 def test_exp_log_tables_capped():
-    with pytest.raises(ValueError, match="capped at L <= 20"):
-        context_for(21).exp_table
+    # the tables are built only for a context, and contexts stop at the sequence cap
+    for L in (DESK_MAX_L + 1, 21, 32, 257):
+        with pytest.raises(ValueError, match=f"capped at 2 <= L <= {DESK_MAX_L}, got L={L}"):
+            FieldContext(L, 1 << L | 0b11)
+    with pytest.raises(ValueError, match="capped"):
+        context_for(21)
+    with pytest.raises(ValueError, match="got L=1 "):
+        FieldContext(1, 0b11)
 
 
 def test_field_context_surface(ctx3):
     public = {name for name in dir(ctx3) if not name.startswith("_")}
-    assert public == {"L", "modulus", "order", "factorization",
-                      "exp_table", "log_table", "trace_mask"}
+    assert public == {"L", "modulus", "order", "exp_table", "log_table", "trace_mask"}
 
 
 def test_is_primitive_examples():
-    assert is_primitive(3, 0b1011, [7]) is True
+    assert FieldContext(3, 0b1011).modulus == 0b1011
     # x^3 + x^2 + x + 1 is divisible by x + 1
-    assert is_primitive(3, 0b1111, [7]) is False
+    with pytest.raises(ValueError, match="not primitive"):
+        FieldContext(3, 0b1111)
     # x^4 + x^3 + x^2 + x + 1 is irreducible but x has order 5, not 15
-    assert is_primitive(4, 0b11111, [3, 5]) is False
-    assert poly_powmod(2, 5, 0b11111) == 1
+    with pytest.raises(ValueError, match="not primitive"):
+        FieldContext(4, 0b11111)
+    assert powmod(2, 5, 0b11111) == 1
 
 
 def test_is_primitive_validation_errors():
     with pytest.raises(ValueError, match="degree"):
-        is_primitive(4, 0b1011, [3, 5])
-    with pytest.raises(ValueError, match="product"):
-        is_primitive(3, 0b1011, [3])
-    with pytest.raises(ValueError, match="not prime"):
-        is_primitive(4, 0b10011, [15])
-    with pytest.raises(ValueError, match="factorization"):
-        is_primitive(3, 0b1011, [])
+        FieldContext(4, 0b1011)
+    with pytest.raises(ValueError, match="degree"):
+        FieldContext(3, -0b1011)
+    # divisible by x: the register falls to state 0 on its first clock
+    with pytest.raises(ValueError, match="not primitive"):
+        FieldContext(3, 0b1010)
 
 
 def test_field_context_requires_primitive():
     with pytest.raises(ValueError, match="not primitive"):
-        FieldContext(4, 0b11111, [3, 5])
+        FieldContext(4, 0b11111)
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_register_accepts_exactly_the_primitive_polynomials(L):
+    # x has order 2^L - 1 for exactly phi(2^L - 1)/L polynomials of degree L
+    accepted = set()
+    for poly in range(1 << L, 2 << L):
+        try:
+            FieldContext(L, poly)
+        except ValueError as exc:
+            assert "not primitive" in str(exc)
+        else:
+            accepted.add(poly)
+    assert accepted == {poly for poly in range(1 << L, 2 << L) if x_has_full_order(poly, L)}
+    order = (1 << L) - 1
+    assert len(accepted) == sum(gcd(i, order) == 1 for i in range(1, order + 1)) // L
 
 
 def test_poly_helpers():
-    assert poly_degree(0) == -1
-    assert poly_degree(0b1011) == 3
     assert poly_gcd(0b110, 0b10) == 0b10  # gcd(x^2+x, x) = x
-    assert poly_mulmod(0b010, 0b100, 0b1011) == 0b011
+    assert poly_gcd(0b1011, 0b111) == 1  # distinct irreducibles
+    assert poly_gcd(0b1011 << 1, 0b1011) == 0b1011  # gcd(x(x^3+x+1), x^3+x+1)
 
 
 def test_embedded_table_is_fully_primitive():
-    from filtropt.polytable import factorization_for, polynomial_for
+    from filtropt.polytable import polynomial_for
 
     lengths = supported_lengths()
-    assert lengths == [*range(2, 33), 61, 89, 107, 127, 257]
+    assert lengths == list(range(2, DESK_MAX_L + 1))
     for L in lengths:
         poly = polynomial_for(L)
-        factors = factorization_for(L)
-        prod = 1
-        for p in factors:
-            prod *= p
-        assert prod == (1 << L) - 1
-        assert is_primitive(L, poly, factors)
+        assert x_has_full_order(poly, L)
+        assert FieldContext(L, poly).modulus == poly
 
 
-def test_context_for_unknown_length():
-    with pytest.raises(ValueError, match="supported lengths"):
+def test_context_for_unknown_length(tmp_path, monkeypatch):
+    from filtropt import polytable
+
+    with pytest.raises(ValueError, match="capped"):
         context_for(40)
+    path = tmp_path / "table.json"
+    path.write_text('{"3": {"poly": "0xb"}}')
+    monkeypatch.setenv(polytable.ENV_TABLE_VAR, str(path))
+    with pytest.raises(ValueError, match="supported lengths: \\[3\\]"):
+        context_for(5)
+    assert context_for(5, 0x25).modulus == 0x25  # a user polynomial needs no table entry
 
 
 def test_context_for_caches_and_compares():
     a = context_for(5)
     b = context_for(5)
     assert a is b
-    assert a == FieldContext(5, a.modulus, a.factorization)
-    assert hash(a) == hash(FieldContext(5, a.modulus, a.factorization))
+    assert a == FieldContext(5, a.modulus)
+    assert hash(a) == hash(FieldContext(5, a.modulus))
+
+
+def test_pickled_context_rebuilds_read_only_tables():
+    # what a --jobs worker receives: the tables are rebuilt, not shipped writeable
+    ctx = context_for(6)
+    ctx.exp_table
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert copy == ctx and copy is not ctx
+    assert len(pickle.dumps(ctx)) < 200
+    for table in (window_table(copy), window_table(copy, 5), copy.exp_table, copy.log_table):
+        assert not table.flags.writeable
+    assert window_table(copy).tolist() == window_table(ctx).tolist()
 
 
 def test_env_table_override(tmp_path, monkeypatch):

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate src/filtropt/data/polynomials.json.
 
-Factors 2^L - 1 with sympy for the small lengths, uses the known prime
-2^L - 1 values for L in {61, 89, 107, 127} and the published factorization
-for L = 257, then searches trinomials (pentanomials as fallback) for the
-lexicographically first primitive polynomial of each degree.  Every record
-is re-verified with filtropt.field.is_primitive before being written.
+For each length L = 2..DESK_MAX_L, searches trinomials (pentanomials as
+fallback) for the lexicographically first primitive polynomial of degree L.
+A candidate is primitive when FieldContext accepts it, that is when its
+register runs through all 2^L - 1 nonzero states before returning to state 1.
 
 Run from the repository root:  python tools/gen_polytable.py
 """
@@ -13,58 +12,31 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
-
-import sympy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from filtropt.field import is_primitive  # noqa: E402
-
-SMALL_LENGTHS = range(2, 33)
-MERSENNE_PRIME_LENGTHS = (61, 89, 107, 127)
-L257_FACTORS = (
-    535006138814359,
-    1155685395246619182673033,
-    374550598501810936581776630096313181393,
-)
+from filtropt.field import DESK_MAX_L, FieldContext  # noqa: E402
 
 
-def factorization(L: int) -> list[int]:
-    if L in MERSENNE_PRIME_LENGTHS:
-        n = 2**L - 1
-        assert sympy.isprime(n)
-        return [n]
-    if L == 257:
-        prod = 1
-        for p in L257_FACTORS:
-            assert sympy.isprime(p)
-            prod *= p
-        assert prod == 2**257 - 1
-        return list(L257_FACTORS)
-    return [p for p, e in sorted(sympy.factorint(2**L - 1).items()) for _ in range(e)]
-
-
-def find_primitive(L: int, factors: list[int]) -> int:
-    for a in range(1, L):
-        poly = (1 << L) | (1 << a) | 1
-        if is_primitive(L, poly, factors):
-            return poly
-    for a, b, c in combinations(range(1, L), 3):
-        poly = (1 << L) | (1 << c) | (1 << b) | (1 << a) | 1
-        if is_primitive(L, poly, factors):
-            return poly
+def find_primitive(L: int) -> int:
+    top = 1 << L | 1
+    trinomials = (top | 1 << a for a in range(1, L))
+    pentanomials = (top | 1 << c | 1 << b | 1 << a for a, b, c in combinations(range(1, L), 3))
+    for poly in chain(trinomials, pentanomials):
+        try:
+            return FieldContext(L, poly).modulus
+        except ValueError:  # not primitive
+            pass
     raise RuntimeError(f"no primitive trinomial/pentanomial of degree {L}")
 
 
 def main() -> None:
     table = {}
-    for L in [*SMALL_LENGTHS, *MERSENNE_PRIME_LENGTHS, 257]:
-        factors = factorization(L)
-        poly = find_primitive(L, factors)
-        assert is_primitive(L, poly, factors)
-        table[str(L)] = {"poly": hex(poly), "factors": [str(p) for p in factors]}
+    for L in range(2, DESK_MAX_L + 1):
+        poly = find_primitive(L)
+        table[str(L)] = {"poly": hex(poly)}
         print(f"L={L}: {hex(poly)}")
     out = Path(__file__).resolve().parent.parent / "src" / "filtropt" / "data" / "polynomials.json"
     out.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
