@@ -71,10 +71,15 @@ def evaluate(f: FilterFunction, w: int) -> int:
     return out & 1
 
 
-def filter_sequence(f: FilterFunction, ctx: FieldContext, initial_state: int = 1) -> list[int]:
-    """z_n = f(a_n, ..., a_(n+L-1)) over one period: the per-bit reference."""
+def _check_field(f: FilterFunction, ctx: FieldContext) -> None:
+    """The one check that a filter's taps lie on the field's register."""
     if f.L != ctx.L:
         raise ValueError(f"filter has L={f.L} but the field has L={ctx.L}")
+
+
+def filter_sequence(f: FilterFunction, ctx: FieldContext, initial_state: int = 1) -> list[int]:
+    """z_n = f(a_n, ..., a_(n+L-1)) over one period: the per-bit reference."""
+    _check_field(f, ctx)
     return [evaluate(f, w) for w in window_table(ctx, initial_state).tolist()]
 
 
@@ -112,6 +117,14 @@ def selectable_masks(L: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
     return tuple(sorted(zip(low + top, count()))), len(low)
 
 
+def _decode_selector(pool: tuple[tuple[int, int], ...], selector: int) -> tuple[int, ...]:
+    """The masks of pool whose selector bit is set, ascending: a linear-time decode."""
+    bits = format(selector, f"0{len(pool)}b")[::-1]  # the selector read once: bits[i] is bit i
+    # tuple() of a list: a generator's tuple is resized after allocation, which
+    # strands tuples on CPython's per-size free lists (+2 MB peak RSS at L=5)
+    return tuple([m for m, bit in pool if bits[bit] == "1"])
+
+
 def random_filter(L: int, k: int, rng) -> FilterFunction:
     """Uniform draw from the order-k space using a seeded random.Random.
 
@@ -122,8 +135,7 @@ def random_filter(L: int, k: int, rng) -> FilterFunction:
     pool, n_low = selectable_masks(L, k)
     top_bits = rng.randrange(1, 1 << (len(pool) - n_low))
     low_bits = rng.getrandbits(n_low) if n_low else 0
-    selector = top_bits << n_low | low_bits
-    return FilterFunction(L, tuple([m for m, bit in pool if selector >> bit & 1]))
+    return FilterFunction(L, _decode_selector(pool, top_bits << n_low | low_bits))
 
 
 def enumerate_filters(L: int, k: int, start: int = 0,
@@ -142,10 +154,7 @@ def enumerate_filters(L: int, k: int, start: int = 0,
         raise ValueError(f"bad range [{start}, {stop}) for {total} filters")
     pool, n_low = selectable_masks(L, k)
     for selector in range(start + (1 << n_low), stop + (1 << n_low)):
-        # tuple() of a list, not of a generator: a generator's tuple is resized
-        # after allocation, which strands tuples on CPython's per-size free
-        # lists (+2 MB peak RSS over a census at L=5)
-        yield FilterFunction(L, tuple([m for m, bit in pool if selector >> bit & 1]))
+        yield FilterFunction(L, _decode_selector(pool, selector))
 
 
 def parse_anf(text: str, L: int) -> FilterFunction:

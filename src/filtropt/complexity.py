@@ -17,8 +17,8 @@ The periodic measurements use no filter theory:
   field.poly_gcd, Euclid's algorithm on GF(2) polynomials held as ints.
 - min_period_packed descends from the length over its prime factors,
   dividing by p while the period is invariant under rotation by P/p: one
-  rotation test per prime factor removed, plus one per distinct prime,
-  instead of one per divisor.
+  rotation test per prime factor, counted with multiplicity, instead of one
+  per divisor.
 
 The census measures whole blocks of short periods at once: for periods of
 at most WORD_MAX_PERIOD bits, one numpy uint64 lane per sequence,
@@ -31,7 +31,6 @@ reference the gcd kernel is tested against; the two share no code.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -106,22 +105,18 @@ def min_period(bits: Sequence[int]) -> int:
 def min_period_packed(z: int, length: int) -> int:
     """Smallest d dividing length with the packed sequence d-periodic.
 
-    Descends from length over its prime factors: the periods dividing
-    length are the multiples of the minimal one, so a period P can drop to
-    P/q for a prime q exactly while z is unchanged by rotation by P/q.
+    Descends from length over its prime factors q, with multiplicity: the
+    periods dividing length are the multiples of the minimal one, so the
+    period P drops to P/q exactly when z is unchanged by rotation by P/q.
     """
     _check_period(z, length)
     mask = (1 << length) - 1
     period = length
-    for q in _distinct_primes(length):
-        while period % q == 0 and (z << period // q | z >> (length - period // q)) & mask == z:
-            period //= q
+    for q in _prime_factors(length):
+        r = period // q
+        if (z << r | z >> (length - r)) & mask == z:
+            period = r
     return period
-
-
-@lru_cache(maxsize=64)
-def _distinct_primes(n: int) -> tuple[int, ...]:
-    return tuple(sorted(set(_prime_factors(n))))
 
 
 def _check_words(z: np.ndarray, period: int) -> None:

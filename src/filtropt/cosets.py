@@ -24,36 +24,35 @@ ENUMERATION_MAX_L = 20
 
 @dataclass(frozen=True)
 class CyclotomicCoset:
-    """A doubling orbit mod 2^L - 1, listed from its minimum element."""
+    """A doubling orbit mod 2^L - 1: its minimum element, size and binary weight."""
 
     leader: int
-    elements: tuple[int, ...]
     cardinal: int
     weight: int
 
 
+def _orbit(e: int, n: int) -> list[int]:
+    """The doubling orbit of e mod n, starting at e."""
+    orbit, x = [e], e * 2 % n
+    while x != e:
+        orbit.append(x)
+        x = x * 2 % n
+    return orbit
+
+
 def coset_of(e: int, L: int) -> CyclotomicCoset:
-    """The coset containing exponent e, canonicalized to start at the leader."""
+    """The coset containing exponent e, named by its leader (minimum element)."""
     n = (1 << L) - 1
     if not 1 <= e <= n - 1:
         raise ValueError(f"exponent {e} outside [1, {n - 1}]")
-    orbit = []
-    x = e
-    while True:
-        orbit.append(x)
-        x = (x * 2) % n
-        if x == e:
-            break
+    orbit = _orbit(e, n)
     leader = min(orbit)
-    i = orbit.index(leader)
-    orbit = orbit[i:] + orbit[:i]
-    return CyclotomicCoset(leader, tuple(orbit), len(orbit), leader.bit_count())
+    return CyclotomicCoset(leader, len(orbit), leader.bit_count())
 
 
 def constant_coset(L: int) -> CyclotomicCoset:
     """The weight-L singleton orbit of 2^L - 1 (exponent 0 mod 2^L - 1)."""
-    n = (1 << L) - 1
-    return CyclotomicCoset(n, (n,), 1, L)
+    return CyclotomicCoset((1 << L) - 1, 1, L)
 
 
 @lru_cache(maxsize=32)
@@ -68,10 +67,10 @@ def _all_cosets(L: int) -> tuple[CyclotomicCoset, ...]:
     for e in range(1, n):
         if seen[e]:
             continue
-        c = coset_of(e, L)
-        for x in c.elements:
+        orbit = _orbit(e, n)  # e, the first exponent not yet seen, is the leader
+        for x in orbit:
             seen[x] = 1
-        out.append(c)
+        out.append(CyclotomicCoset(e, len(orbit), e.bit_count()))
     return tuple(out)
 
 

@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from . import polytable
-from .anf import (FilterFunction, census_size, enumerate_filters, format_anf,
+from .anf import (FilterFunction, _check_field, census_size, enumerate_filters, format_anf,
                   random_filter, selectable_masks)
 from .complexity import (WORD_MAX_PERIOD, min_period_packed, min_period_words,
                          periodic_lc_packed, periodic_lc_words)
@@ -128,6 +128,7 @@ class _SequenceLab:
 
     def filter_period_packed(self, f: FilterFunction) -> int:
         """One period of the filter output as a packed int."""
+        _check_field(f, self.ctx)
         out = 0
         for mask in f.masks:
             out ^= self._vector(mask)
@@ -258,11 +259,17 @@ def _measure(ctx: FieldContext, k: int, seed: int | None, total: int, jobs: int,
     return sum(r[0] for r in results), sum(r[1] for r in results), records
 
 
+def _context(L: int, ctx: FieldContext | None) -> FieldContext:
+    """The table's field for L, or ctx, which must have length L."""
+    if ctx is not None and ctx.L != L:
+        raise ValueError(f"the run is for L={L} but the field has L={ctx.L}")
+    return polytable.context_for(L) if ctx is None else ctx
+
+
 def run_exhaustive(L: int, k: int, ctx: FieldContext | None = None, *,
                    jobs: int = 1, collect_records: bool = False) -> ExperimentSummary:
     """Measure every order-k filter; the census against which nfm is judged."""
-    if ctx is None:
-        ctx = polytable.context_for(L)
+    ctx = _context(L, ctx)
     total = census_size(L, k)
     hits_lc, hits_period, records = _measure(ctx, k, None, total, jobs, collect_records)
     analytic = pr_exact(L, k)
@@ -285,8 +292,7 @@ def run_monte_carlo(L: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
         raise ValueError("trials must be at least 1")
     if not -SEED_LIMIT <= seed < SEED_LIMIT:
         raise ValueError(f"seed must lie in [-2^127, 2^127), got {seed}")
-    if ctx is None:
-        ctx = polytable.context_for(L)
+    ctx = _context(L, ctx)
     hits_lc, hits_period, records = _measure(ctx, k, seed, trials, jobs, collect_records)
     analytic = float(pr_exact(L, k))
     empirical = hits_lc / trials

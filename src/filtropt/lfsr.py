@@ -42,10 +42,7 @@ def trace_consistency(ctx: FieldContext, z: int) -> bool:
     """
     order, L = ctx.order, ctx.L
     _check_period(z, order)
-    v = ctx.exp_table & ctx.trace_mask
-    for shift in (16, 8, 4, 2, 1):  # fold the parity of up to 32 bits into bit 0
-        v = v ^ v >> shift
-    bits = (v & 1).astype(np.uint8)
+    bits = (np.bitwise_count(ctx.exp_table & ctx.trace_mask) & 1).astype(np.uint8)
     s = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
     windows = sum(np.roll(bits, -i).astype(np.int64) << i for i in range(L))
     hits = np.flatnonzero(windows == z & ((1 << L) - 1))

@@ -44,19 +44,12 @@ MAX_DIGITS = 10_000
 def _ln_one_minus_pow2(d: int) -> mpf:
     """ln(1 - 2^-d) at the current working precision, for any d >= 1.
 
-    Exact-rounded log for moderate d; for huge d the power series collapses
-    to -2^-d, which mpmath can still represent thanks to bignum exponents.
+    mpmath's log1p keeps full relative precision however small 2^-d is, and
+    its bignum exponents hold 2^-d even for d far past the precision.
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    if d <= mp.prec - 2:
-        return mp.log(1 - mp.ldexp(1, -d))
-    total = mpf(0)
-    j = 1
-    while j * d <= mp.prec + 10 or j == 1:
-        total -= mp.ldexp(1, -j * d) / j
-        j += 1
-    return total
+    return mp.log1p(-mp.ldexp(1, -d))
 
 
 def nfm(L: int, k: int) -> int:

@@ -5,11 +5,14 @@ literal scan over every candidate tap mask, Berlekamp-Massey, the register
 recurrence and the LFSR replay run on plain bit lists, the trace and
 spectral references work on coefficient lists rather than bitmasks, and
 primitivity is the order of x computed by square-and-multiply against a
-trial-division factorization of 2^L - 1, where the package clocks a register.
+trial-division factorization of 2^L - 1, where the package clocks a register,
+and ln(1 - 2^-d) is a log or a summed power series, where the package calls
+mpmath's log1p.
 """
 from __future__ import annotations
 
 import numpy as np
+from mpmath import mp, mpf
 
 
 def brute_force_lfsr_length(bits: list[int]) -> int:
@@ -220,3 +223,20 @@ def reconstruct_reference(spectrum, n: int) -> int:
         assert not any(total[1:]), "conjugate sum landed outside GF(2)"
         out ^= total[0]
     return out
+
+
+def ln_one_minus_pow2_series(d: int) -> mpf:
+    """ln(1 - 2^-d) at mpmath's working precision, in two branches.
+
+    While d <= prec - 2, 1 - 2^-d is held exactly and its log is taken;
+    past that, the series -(2^-d + 2^-2d / 2 + ...) is summed while its
+    terms reach the precision, and always for at least its first term.
+    """
+    if d <= mp.prec - 2:
+        return mp.log(1 - mp.ldexp(1, -d))
+    total = mpf(0)
+    j = 1
+    while j * d <= mp.prec + 10 or j == 1:
+        total -= mp.ldexp(1, -j * d) / j
+        j += 1
+    return total

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from filtropt import (FilterFunction, count_filters, enumerate_filters, evaluate,
                       filter_sequence, format_anf, parse_anf, random_filter,
                       run_exhaustive, window_table)
-from filtropt.anf import (AnfParseError, filter_from_monomial_lists,
-                          filter_to_monomial_lists)
+from filtropt.anf import (AnfParseError, _decode_selector, filter_from_monomial_lists,
+                          filter_to_monomial_lists, selectable_masks)
 from filtropt.complexity import berlekamp_massey_packed, bits_to_int
 
 
@@ -158,6 +158,14 @@ def test_random_filter_invariants_and_determinism():
 ])
 def test_random_filter_draws_are_pinned(L, k, seed, text):
     assert format_anf(random_filter(L, k, random.Random(seed))) == text
+
+
+@pytest.mark.parametrize("L,k", [(4, 2), (7, 3), (13, 7)])
+@given(data=st.data())
+def test_decode_matches_shift_decode(L, k, data):
+    pool, _ = selectable_masks(L, k)
+    selector = data.draw(st.integers(0, (1 << len(pool)) - 1))
+    assert _decode_selector(pool, selector) == tuple(m for m, bit in pool if selector >> bit & 1)
 
 
 def test_random_filter_uniform_over_space():

@@ -10,13 +10,18 @@ from filtropt.cosets import _divisors, _mobius, constant_coset, coset_count
 
 def test_coset_of_examples():
     c = coset_of(1, 5)
-    assert c.elements == (1, 2, 4, 8, 16)
-    assert c.cardinal == 5 and c.weight == 1
+    assert (c.leader, c.cardinal, c.weight) == (1, 5, 1)
+    assert all(coset_of(e, 5) == c for e in (1, 2, 4, 8, 16))
     c = coset_of(5, 4)
-    assert set(c.elements) == {5, 10}
-    assert c.cardinal == 2 and c.weight == 2
+    assert (c.leader, c.cardinal, c.weight) == (5, 2, 2)
+    assert coset_of(10, 4) == c
     assert coset_of(6, 5) == coset_of(3, 5)
     assert coset_of(6, 5).leader == 3
+    # every member of an orbit, reached by doubling, maps back to its leader
+    c = coset_of(11, 6)
+    orbit = {(11 << i) % 63 for i in range(6)}
+    assert len(orbit) == c.cardinal == 6 and c.leader == min(orbit) == 11
+    assert all(coset_of(e, 6) == c for e in orbit)
 
 
 def test_coset_of_range_errors():
@@ -81,10 +86,11 @@ def test_weight_classes_cover_binomials(L):
 @pytest.mark.parametrize("L", range(2, 17))
 def test_cosets_partition_exponent_range(L):
     n = (1 << L) - 1
-    seen = []
-    for c in cosets_up_to_weight(L, L - 1):
-        seen.extend(c.elements)
-    assert sorted(seen) == list(range(1, n))
+    table = {c.leader: c for c in cosets_up_to_weight(L, L - 1)}
+    for e in range(1, n):
+        c = coset_of(e, L)
+        assert table[c.leader] == c
+    assert sum(c.cardinal for c in table.values()) == n - 1
 
 
 @pytest.mark.parametrize("L", range(2, 17))

@@ -82,6 +82,26 @@ def test_monte_carlo_seed_range():
             run_monte_carlo(4, 2, 5, seed)
 
 
+def test_runs_refuse_a_field_of_another_length():
+    # a field of another length would measure filters of that length while
+    # the counts, the target nk and the verdict stayed those of L
+    with pytest.raises(ValueError, match="L=5 but the field has L=6"):
+        run_exhaustive(5, 2, context_for(6))
+    with pytest.raises(ValueError, match="L=5 but the field has L=7"):
+        run_monte_carlo(5, 2, 50, 1, context_for(7))
+    assert run_exhaustive(5, 2, context_for(5)).hits_max_lc == nfm(5, 2)
+
+
+def test_lab_refuses_a_filter_of_another_length(ctx5):
+    lab = _SequenceLab(ctx5)
+    for L in (4, 6):
+        f = random_filter(L, 2, random.Random(L))
+        with pytest.raises(ValueError, match=f"filter has L={L} but the field has L=5"):
+            lab.filter_period_packed(f)
+        with pytest.raises(ValueError, match=f"filter has L={L} but the field has L=5"):
+            filter_sequence(f, ctx5)
+
+
 @pytest.mark.parametrize("L", [3, 4, 5, 7, 11])
 def test_lab_matches_per_bit_producer(L):
     ctx = context_for(L)

@@ -5,7 +5,8 @@ import pytest
 from mpmath import mp, mpf
 
 from filtropt import cardinal_counts, count_filters, nfm, nk, pr_exact, pr_report
-from filtropt.likelihood import EXACT_NK_BIT_CAP, ln_probability_parts
+from filtropt.likelihood import EXACT_NK_BIT_CAP, _ln_one_minus_pow2, ln_probability_parts
+from oracles import ln_one_minus_pow2_series
 
 
 def test_nfm_examples():
@@ -129,3 +130,18 @@ def test_log_domain_report_sums_each_binomial_once(monkeypatch):
     report = pr_report(1000, 500)
     assert report.mode == "log-domain"
     assert len(calls) <= len(cosets._divisors(1000)) + 1
+
+
+@pytest.mark.parametrize("digits", [60, 10010])
+def test_ln_one_minus_pow2_matches_series(digits):
+    # both sides of the series' branch point at d = prec - 2, past the
+    # precision, and far past any float or machine-word exponent
+    with mp.workdps(digits):
+        prec = mp.prec
+        for d in (1, 2, prec - 2, prec, prec + 5, 10**6, 2**200):
+            expected = ln_one_minus_pow2_series(d)
+            got = _ln_one_minus_pow2(d)
+            assert expected < 0
+            assert abs(got - expected) <= mp.ldexp(abs(expected), 1 - prec), d
+    with pytest.raises(ValueError):
+        _ln_one_minus_pow2(0)
