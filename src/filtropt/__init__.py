@@ -17,7 +17,7 @@ from .cosets import (CyclotomicCoset, cardinal_counts, coset_of, coset_period,
 from .field import FieldContext, FieldElement
 from .lfsr import trace_consistency, window_table
 from .likelihood import LikelihoodReport, ln_probability_parts, nfm, pr_exact, pr_report
-from .polytable import context_for, polynomial_for, supported_lengths
+from .polytable import context_for
 from .spectral import (SpectralLine, Spectrum, dft, lc_from_spectrum,
                        period_from_spectrum, reconstruct_period, verify_subfield)
 from .experiment import (ExperimentSummary, TrialRecord, Verdict, compare,
@@ -38,5 +38,5 @@ __all__ = [
     "LikelihoodReport", "nfm", "pr_exact", "pr_report", "ln_probability_parts",
     "ExperimentSummary", "TrialRecord", "Verdict", "run_exhaustive",
     "run_monte_carlo", "compare", "wilson_interval",
-    "context_for", "polynomial_for", "supported_lengths",
+    "context_for",
 ]

@@ -23,7 +23,7 @@ from .lfsr import window_table
 
 Monomial = tuple[int, ...]
 
-ENUMERATION_CAP = 1 << 24
+ENUMERATION_CAP = 1 << 24  # most filters one run measures: a census, or sample --trials
 _TAP_RE = re.compile(r"^x(\d+)$")
 
 

@@ -36,8 +36,8 @@ from typing import Iterator
 import numpy as np
 
 from . import polytable
-from .anf import (FilterFunction, _check_field, census_size, enumerate_filters, format_anf,
-                  random_filter, selectable_masks)
+from .anf import (ENUMERATION_CAP, FilterFunction, _check_field, census_size,
+                  enumerate_filters, format_anf, random_filter, selectable_masks)
 from .complexity import (WORD_MAX_PERIOD, min_period_packed, min_period_words,
                          periodic_lc_packed, periodic_lc_words)
 from .cosets import nk
@@ -75,7 +75,7 @@ class ExperimentSummary:
     ci_high: float | None
     seed: int | None
     analytic_pr: float
-    z_score: float
+    z_score: float | None
     records: list[TrialRecord] | None = field(default=None, repr=False)
 
 
@@ -84,10 +84,11 @@ class Verdict:
     """Comparison of a run against the analytic report.
 
     ok is the mode's primary criterion: census counts must match nfm
-    exactly, sampling must land within 3 sigma.  bound_respected compares
-    against the exponential approximation bound_general (with 3 sigma of
-    sampling slack); it is reported for context, not gating, since that
-    approximation can sit slightly above the true probability.
+    exactly, sampling must land within 3 sigma (a z_score of None does
+    not).  bound_respected compares against the exponential approximation
+    bound_general (with 3 sigma of sampling slack); it is reported for
+    context, not gating, since that approximation can sit slightly above
+    the true probability.
     """
 
     exact_match: bool | None
@@ -259,6 +260,18 @@ def _measure(ctx: FieldContext, k: int, seed: int | None, total: int, jobs: int,
     return sum(r[0] for r in results), sum(r[1] for r in results), records
 
 
+def _z_score(empirical, analytic, trials: int) -> float | None:
+    """(empirical - analytic) in standard errors of a trials-filter rate.
+
+    A prediction of probability 0 or 1 has no spread: it is met (z 0.0)
+    only by an equal rate, and any other rate has no finite z (None).
+    """
+    if empirical == analytic:
+        return 0.0
+    se = sqrt(float(analytic) * (1 - float(analytic)) / trials)
+    return float(empirical - analytic) / se if se else None
+
+
 def _context(L: int, ctx: FieldContext | None) -> FieldContext:
     """The table's field for L, or ctx, which must have length L."""
     if ctx is not None and ctx.L != L:
@@ -274,22 +287,25 @@ def run_exhaustive(L: int, k: int, ctx: FieldContext | None = None, *,
     hits_lc, hits_period, records = _measure(ctx, k, None, total, jobs, collect_records)
     analytic = pr_exact(L, k)
     empirical = Fraction(hits_lc, total)
-    se = sqrt(float(analytic) * (1 - float(analytic)) / total)
-    z = 0.0 if empirical == analytic else float(empirical - analytic) / se
     return ExperimentSummary(
         L=L, k=k, mode="exhaustive", trials=total,
         hits_max_lc=hits_lc, hits_max_period=hits_period,
         max_lc_target=nk(L, k), empirical_pr=float(empirical),
         ci_low=None, ci_high=None, seed=None,
-        analytic_pr=float(analytic), z_score=z, records=records)
+        analytic_pr=float(analytic), z_score=_z_score(empirical, analytic, total),
+        records=records)
 
 
 def run_monte_carlo(L: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
                     ctx: FieldContext | None = None, *, jobs: int = 1,
                     collect_records: bool = False) -> ExperimentSummary:
-    """trials uniform filter draws with reproducible per-trial sub-seeds."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    """trials uniform filter draws with reproducible per-trial sub-seeds.
+
+    trials is refused past anf.ENUMERATION_CAP, the census's cap, before any
+    work starts.
+    """
+    if not 1 <= trials <= ENUMERATION_CAP:
+        raise ValueError(f"trials must lie in [1, {ENUMERATION_CAP}], got {trials}")
     if not -SEED_LIMIT <= seed < SEED_LIMIT:
         raise ValueError(f"seed must lie in [-2^127, 2^127), got {seed}")
     ctx = _context(L, ctx)
@@ -297,14 +313,13 @@ def run_monte_carlo(L: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     analytic = float(pr_exact(L, k))
     empirical = hits_lc / trials
     ci_low, ci_high = wilson_interval(hits_lc, trials)
-    se = sqrt(analytic * (1 - analytic) / trials)
-    z = (empirical - analytic) / se if se else 0.0
     return ExperimentSummary(
         L=L, k=k, mode="monte-carlo", trials=trials,
         hits_max_lc=hits_lc, hits_max_period=hits_period,
         max_lc_target=nk(L, k), empirical_pr=empirical,
         ci_low=ci_low, ci_high=ci_high, seed=seed,
-        analytic_pr=analytic, z_score=z, records=records)
+        analytic_pr=analytic, z_score=_z_score(empirical, analytic, trials),
+        records=records)
 
 
 def compare(summary: ExperimentSummary, report: LikelihoodReport) -> Verdict:
@@ -322,7 +337,7 @@ def compare(summary: ExperimentSummary, report: LikelihoodReport) -> Verdict:
         ok = exact_match
         slack = 0.0
     else:
-        within = abs(summary.z_score) <= 3.0
+        within = summary.z_score is not None and abs(summary.z_score) <= 3.0
         ok = within
         p = summary.analytic_pr
         slack = 3.0 * sqrt(p * (1 - p) / summary.trials)

@@ -14,6 +14,12 @@ primitive (Golomb, Shift Register Sequences, 1967).  The constructor clocks
 the Fibonacci register of the modulus from state 1 and keeps the states it
 visits as the state-1 window table (see lfsr.window_table).  Before any
 clock it checks the one cap on sequence work, 2 <= L <= DESK_MAX_L.
+
+PRIMITIVE holds the default modulus for every length up to that cap, and
+its largest key is the cap.  Entry L is the first primitive polynomial among
+the trinomials x^L + x^a + 1 by ascending a, then the pentanomials
+x^L + x^c + x^b + x^a + 1 by ascending (a, b, c) with a < b < c; a test
+repeats that search.  Raising the cap means adding entries.
 """
 from __future__ import annotations
 
@@ -23,7 +29,11 @@ import numpy as np
 
 FieldElement = int
 
-DESK_MAX_L = 16
+PRIMITIVE = {
+    2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x187, 9: 0x211,
+    10: 0x409, 11: 0x805, 12: 0x1107, 13: 0x2027, 14: 0x5007, 15: 0x8003, 16: 0x1100B,
+}
+DESK_MAX_L = max(PRIMITIVE)
 
 
 def poly_gcd(a: int, b: int) -> int:

@@ -132,6 +132,7 @@ def test_unknown_length_rejected(capsys):
     (["enumerate", "-L", "17", "-k", "1"], "capped"),
     (["sample", "-L", "17", "-k", "3", "--trials", "5"], "capped"),
     (["analyze", "-L", "17", "--poly", "20009", "--filter", "x0"], "capped"),
+    (["sample", "-L", "7", "-k", "3", "--trials", "16777217"], "trials"),
 ])
 def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
@@ -150,18 +151,6 @@ def test_internal_check_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error:") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("content", [None, "not json", '{"5": {"factors": ["31"]}}', "[1, 2]"])
-def test_bad_poly_table_file_exits_1(capsys, monkeypatch, tmp_path, content):
-    path = tmp_path / "table.json"
-    if content is not None:
-        path.write_text(content)
-    monkeypatch.setenv(polytable.ENV_TABLE_VAR, str(path))
-    code, out, err = run(capsys, "analyze", "--length", "5", "--filter", "x0")
-    assert code == 1
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert polytable.ENV_TABLE_VAR in err
 
 
 def test_prob_headline(capsys):
@@ -240,6 +229,25 @@ def test_comparison_failure_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "enumerate", "--length", "3", "--order", "2")
     assert code == 2
     payload = json.loads(out)
+    assert payload["verdict"]["ok"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "-L", "7", "-k", "1", "--trials", "50"],
+    ["enumerate", "-L", "7", "-k", "1"],
+])
+def test_missed_certain_prediction_exits_2(capsys, monkeypatch, argv):
+    # every order-1 filter reaches lc = L, so pr = 1 and a miss has no finite z
+    from filtropt import experiment
+
+    lc = experiment.periodic_lc_packed
+    monkeypatch.setattr(experiment, "periodic_lc_packed", lambda *a: lc(*a) - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 2, err
+    payload = json.loads(out)
+    validate(payload, "experiment.schema.json")
+    assert payload["hits_max_lc"] == 0 and payload["analytic_pr"] == 1.0
+    assert payload["z_score"] is None
     assert payload["verdict"]["ok"] is False
 
 

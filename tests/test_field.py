@@ -1,12 +1,13 @@
 import pickle
 import random
+from itertools import chain, combinations
 from math import gcd
 
 import numpy as np
 import pytest
 
-from filtropt import FieldContext, context_for, supported_lengths, window_table
-from filtropt.field import DESK_MAX_L, poly_gcd
+from filtropt import FieldContext, context_for, window_table
+from filtropt.field import DESK_MAX_L, PRIMITIVE, poly_gcd
 
 from oracles import mulmod, powmod, trace_reference, x_has_full_order
 
@@ -180,27 +181,32 @@ def test_poly_helpers():
 
 
 def test_embedded_table_is_fully_primitive():
-    from filtropt.polytable import polynomial_for
-
-    lengths = supported_lengths()
-    assert lengths == list(range(2, DESK_MAX_L + 1))
-    for L in lengths:
-        poly = polynomial_for(L)
+    assert sorted(PRIMITIVE) == list(range(2, DESK_MAX_L + 1))
+    for L, poly in PRIMITIVE.items():
         assert x_has_full_order(poly, L)
         assert FieldContext(L, poly).modulus == poly
+        assert context_for(L).modulus == poly
 
 
-def test_context_for_unknown_length(tmp_path, monkeypatch):
-    from filtropt import polytable
+def test_table_is_first_primitive_in_search_order():
+    # trinomials x^L + x^a + 1 by a, then pentanomials x^L + x^c + x^b + x^a + 1 by (a, b, c)
+    for L in range(2, DESK_MAX_L + 1):
+        top = 1 << L | 1
+        trinomials = (top | 1 << a for a in range(1, L))
+        pentanomials = (top | 1 << c | 1 << b | 1 << a
+                        for a, b, c in combinations(range(1, L), 3))
+        first = next(p for p in chain(trinomials, pentanomials) if x_has_full_order(p, L))
+        assert PRIMITIVE[L] == first, (L, hex(first))
 
-    with pytest.raises(ValueError, match="capped"):
-        context_for(40)
-    path = tmp_path / "table.json"
-    path.write_text('{"3": {"poly": "0xb"}}')
-    monkeypatch.setenv(polytable.ENV_TABLE_VAR, str(path))
-    with pytest.raises(ValueError, match="supported lengths: \\[3\\]"):
-        context_for(5)
-    assert context_for(5, 0x25).modulus == 0x25  # a user polynomial needs no table entry
+
+def test_context_for_unknown_length():
+    for L in (DESK_MAX_L + 1, 40):
+        with pytest.raises(ValueError, match="capped"):
+            context_for(L)
+        with pytest.raises(ValueError, match="capped"):
+            context_for(L, 1 << L | 0b11)
+    # x^5 + x^3 + 1 is primitive and is not the table's quintic
+    assert PRIMITIVE[5] != 0x29 and context_for(5, 0x29).modulus == 0x29
 
 
 def test_context_for_caches_and_compares():
@@ -221,21 +227,3 @@ def test_pickled_context_rebuilds_read_only_tables():
     for table in (window_table(copy), window_table(copy, 5), copy.exp_table, copy.log_table):
         assert not table.flags.writeable
     assert window_table(copy).tolist() == window_table(ctx).tolist()
-
-
-def test_env_table_override(tmp_path, monkeypatch):
-    import json
-
-    from filtropt import polytable
-
-    # x^3 + x^2 + 1 (0xd) is the other primitive cubic
-    custom = {"3": {"poly": "0xd", "factors": ["7"]}}
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(custom))
-    monkeypatch.setenv(polytable.ENV_TABLE_VAR, str(path))
-    assert polytable.supported_lengths() == [3]
-    assert polytable.polynomial_for(3) == 0xD
-    ctx = polytable.context_for(3)
-    assert ctx.modulus == 0xD
-    monkeypatch.delenv(polytable.ENV_TABLE_VAR)
-    assert polytable.polynomial_for(3) == 0xB
