@@ -183,11 +183,6 @@ def format_anf(f: FilterFunction) -> str:
     return " + ".join("*".join(f"x{t}" for t in mono) for mono in f.sorted_monomials())
 
 
-def filter_to_monomial_lists(f: FilterFunction) -> list[list[int]]:
-    """JSON-friendly form: a list of integer tap lists."""
-    return [list(m) for m in f.sorted_monomials()]
-
-
 def filter_from_monomial_lists(L: int, monomials: Iterable[list[int]]) -> FilterFunction:
     """The one check on filters from outside the program: a list of tap lists.
 

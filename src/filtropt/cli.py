@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 
 from mpmath import mp
@@ -98,14 +99,6 @@ def _emit(payload: dict, args: argparse.Namespace, csv_rows=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_trial_csv(path: str, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["filter_anf", "lc", "period", "is_max"])
-        for rec in records:
-            writer.writerow([rec.filter_anf, rec.lc, rec.period, int(rec.is_max)])
 
 
 def cmd_cosets(args: argparse.Namespace) -> int:
@@ -199,27 +192,10 @@ def cmd_prob(args: argparse.Namespace) -> int:
 
 
 def _summary_payload(summary, verdict) -> dict:
-    return {
-        "length": summary.L,
-        "order": summary.k,
-        "mode": summary.mode,
-        "trials": summary.trials,
-        "hits_max_lc": summary.hits_max_lc,
-        "hits_max_period": summary.hits_max_period,
-        "max_lc_target": summary.max_lc_target,
-        "empirical_pr": summary.empirical_pr,
-        "ci_low": summary.ci_low,
-        "ci_high": summary.ci_high,
-        "seed": summary.seed,
-        "analytic_pr": summary.analytic_pr,
-        "z_score": summary.z_score,
-        "verdict": {
-            "exact_match": verdict.exact_match,
-            "within_3_sigma": verdict.within_3_sigma,
-            "bound_respected": verdict.bound_respected,
-            "ok": verdict.ok,
-        },
-    }
+    """The summary's fields in order, L and k renamed and the histogram left out."""
+    fields = {name: value for name, value in vars(summary).items()
+              if name not in ("L", "k", "histogram")}
+    return {"length": summary.L, "order": summary.k, **fields, "verdict": vars(verdict)}
 
 
 def _run_experiment(args: argparse.Namespace, exhaustive: bool) -> int:
@@ -227,17 +203,21 @@ def _run_experiment(args: argparse.Namespace, exhaustive: bool) -> int:
     k = args.order
     if not 1 <= k <= ctx.L:
         raise CliError(f"--order must be in [1, {ctx.L}]")
-    collect = args.csv_path is not None
-    if exhaustive:
-        summary = experiment.run_exhaustive(ctx.L, k, ctx, jobs=args.jobs,
-                                            collect_records=collect)
-    else:
-        summary = experiment.run_monte_carlo(ctx.L, k, args.trials, args.seed,
-                                             ctx, jobs=args.jobs, collect_records=collect)
-    report = likelihood.pr_report(ctx.L, k)
-    verdict = experiment.compare(summary, report)
-    if collect:
-        _write_trial_csv(args.csv_path, summary.records)
+    trials, seed = (None, None) if exhaustive else (args.trials, args.seed)
+    experiment.check_run(ctx.L, k, args.jobs, trials, seed)  # refuse before the CSV exists
+    with ExitStack() as stack:
+        rows = None
+        if args.csv_path is not None:
+            writer = csv.writer(stack.enter_context(
+                open(args.csv_path, "w", encoding="utf-8", newline="")))
+            writer.writerow(experiment.TrialRecord._fields)
+            rows = writer.writerow
+        if exhaustive:
+            summary = experiment.run_exhaustive(ctx.L, k, ctx, jobs=args.jobs, rows=rows)
+        else:
+            summary = experiment.run_monte_carlo(ctx.L, k, trials, seed, ctx,
+                                                 jobs=args.jobs, rows=rows)
+    verdict = experiment.compare(summary, likelihood.pr_report(ctx.L, k))
     _emit(_summary_payload(summary, verdict), args)
     return 0 if verdict.ok else 2
 

@@ -150,8 +150,3 @@ def cardinal_counts(L: int, k: int) -> dict[int, int]:
     if sum(d * c for d, c in counts.items()) != fixed[L]:
         raise AssertionError("coset cardinals do not cover the binomial sum")
     return counts
-
-
-def coset_count(L: int, k: int) -> int:
-    """N: how many cosets have weight <= k (constant coset included at k = L)."""
-    return sum(cardinal_counts(L, k).values())

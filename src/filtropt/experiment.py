@@ -1,7 +1,8 @@
 """Empirical census and Monte Carlo measurement of filter quality.
 
-Every trial builds one period of the filtered sequence, measures its linear
-complexity and its exact minimal period, and counts how many filters reach
+Every trial builds one period of the filtered sequence and measures its
+linear complexity and its exact minimal period.  A run tallies one
+histogram of (lc, period) pairs, and reads off it how many filters reach
 the ceiling nk(L, k) and the full period 2^L - 1.
 
 Exhaustive mode walks the whole filter space in census blocks of at most
@@ -12,26 +13,31 @@ the prime-factor period descent in one uint64 lane per filter; the first
 filter of every block is measured again by the scalar kernels as a spot
 check.  That takes periods N <= complexity.WORD_MAX_PERIOD (L <= 6); a
 longer census walks its filters one at a time, like Monte Carlo.  Census
-filter objects are built only when records are asked for or the period is
-long.
+filter objects are built only for a row sink or a long period.
 
 Monte Carlo mode draws uniformly with a per-trial generator seeded by a
 counter-based mix (blake2b over master seed and trial index) and measures
 each draw with the scalar kernels.  Both modes give bit-identical results
 for a given (L, k, seed, trials) no matter how filters are scheduled or how
-many workers run them.
+many workers run them: the workers' histograms are summed.
+
+A row sink, if given, gets each filter's TrialRecord in census or trial
+order: as the filter is measured with one worker; with several, each
+worker holds its chunk's records until the chunk returns.
 """
 from __future__ import annotations
 
 import hashlib
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import sqrt
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,12 +57,16 @@ CENSUS_BLOCK_BITS = 11  # a census block holds at most 2^11 filters: bounded wor
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-@dataclass
-class TrialRecord:
+class TrialRecord(NamedTuple):
+    """One measured filter, in the field order of a --csv row."""
+
     filter_anf: str
     lc: int
     period: int
-    is_max: bool
+    is_max: int  # 1 if lc reaches nk(L, k), else 0
+
+
+RowSink = Callable[[TrialRecord], object]
 
 
 @dataclass
@@ -76,7 +86,7 @@ class ExperimentSummary:
     seed: int | None
     analytic_pr: float
     z_score: float | None
-    records: list[TrialRecord] | None = field(default=None, repr=False)
+    histogram: dict[tuple[int, int], int] = field(repr=False)  # (lc, period): filters
 
 
 @dataclass
@@ -202,62 +212,59 @@ def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _measure_chunk(args: tuple[FieldContext, int, int | None, int, int, bool]
-                   ) -> tuple[int, int, list | None]:
-    """Measure filters lo..hi-1: census indices if seed is None, else seeded draws."""
-    ctx, k, seed, lo, hi, collect = args
+def _measure_chunk(args: tuple[FieldContext, int, int | None, int, int],
+                   rows: RowSink | None = None) -> Counter:
+    """(lc, period) histogram of filters lo..hi-1: census indices if seed is None,
+    else seeded draws; rows, if given, gets each filter's record in that order."""
+    ctx, k, seed, lo, hi = args
     lab = _SequenceLab(ctx)
-    L = ctx.L
-    target = nk(L, k)
-    hits_lc = 0
-    hits_period = 0
-    records = [] if collect else None
-    if seed is None and lab.period <= WORD_MAX_PERIOD:
-        filters = enumerate_filters(L, k, start=lo, stop=hi) if collect else None
+    n, target = lab.period, nk(ctx.L, k)
+    hist = Counter()
+    if seed is None and n <= WORD_MAX_PERIOD:
+        filters = enumerate_filters(ctx.L, k, start=lo, stop=hi) if rows is not None else None
         for z in lab.census_outputs(k, lo, hi):
             lcs, periods = lab.measure_block(z)
-            hits_lc += int(np.count_nonzero(lcs == target))
-            hits_period += int(np.count_nonzero(periods == lab.period))
-            if collect:
-                records += [TrialRecord(format_anf(f), lc, per, lc == target)
-                            for f, lc, per in zip(islice(filters, len(z)), lcs.tolist(),
-                                                  periods.tolist())]
-        return hits_lc, hits_period, records
+            cells, counts = np.unique(lcs * (n + 1) + periods, return_counts=True)
+            hist.update({divmod(c, n + 1): m for c, m in zip(cells.tolist(), counts.tolist())})
+            if rows is not None:
+                for f, lc, per in zip(islice(filters, len(z)), lcs.tolist(), periods.tolist()):
+                    rows(TrialRecord(format_anf(f), lc, per, int(lc == target)))
+        return hist
     if seed is None:
-        filters = enumerate_filters(L, k, start=lo, stop=hi)
+        filters = enumerate_filters(ctx.L, k, start=lo, stop=hi)
     else:
-        filters = (random_filter(L, k, random.Random(trial_seed(seed, i)))
+        filters = (random_filter(ctx.L, k, random.Random(trial_seed(seed, i)))
                    for i in range(lo, hi))
     for f in filters:
         lc, per = lab.measure(lab.filter_period_packed(f))
-        is_max = lc == target
-        hits_lc += is_max
-        hits_period += per == lab.period
-        if collect:
-            records.append(TrialRecord(format_anf(f), lc, per, is_max))
-    return hits_lc, hits_period, records
+        hist[lc, per] += 1
+        if rows is not None:
+            rows(TrialRecord(format_anf(f), lc, per, int(lc == target)))
+    return hist
+
+
+def _held_chunk(args: tuple, keep: bool) -> tuple[Counter, list[TrialRecord]]:
+    """A worker's chunk: its histogram and, if keep, its records in order."""
+    held: list[TrialRecord] = []
+    return _measure_chunk(args, held.append if keep else None), held
 
 
 def _measure(ctx: FieldContext, k: int, seed: int | None, total: int, jobs: int,
-             collect: bool) -> tuple[int, int, list | None]:
-    """Hit counts (and records) over filters 0..total-1, split across workers.
-
-    At most min(jobs, total, cpu count) worker processes; the split never
-    changes the result.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+             rows: RowSink | None) -> Counter:
+    """(lc, period) histogram of filters 0..total-1, split across at most
+    min(jobs, total, cpu count) worker processes; the split never changes it."""
     workers = min(jobs, total, os.cpu_count() or 1)
     step = (total + workers - 1) // workers
-    chunks = [(ctx, k, seed, lo, min(lo + step, total), collect)
-              for lo in range(0, total, step)]
+    chunks = [(ctx, k, seed, lo, min(lo + step, total)) for lo in range(0, total, step)]
     if len(chunks) == 1:
-        results = [_measure_chunk(chunks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_measure_chunk, chunks))
-    records = [rec for r in results for rec in r[2]] if collect else None
-    return sum(r[0] for r in results), sum(r[1] for r in results), records
+        return _measure_chunk(chunks[0], rows)
+    hist = Counter()
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        for part, held in pool.map(partial(_held_chunk, keep=rows is not None), chunks):
+            hist.update(part)
+            for rec in held:
+                rows(rec)
+    return hist
 
 
 def _z_score(empirical, analytic, trials: int) -> float | None:
@@ -272,54 +279,64 @@ def _z_score(empirical, analytic, trials: int) -> float | None:
     return float(empirical - analytic) / se if se else None
 
 
-def _context(L: int, ctx: FieldContext | None) -> FieldContext:
-    """The table's field for L, or ctx, which must have length L."""
+def check_run(L: int, k: int, jobs: int, trials: int | None = None,
+              seed: int | None = None) -> int:
+    """Filters a run measures: the census if trials is None, else trials draws.
+
+    Refuses a census past anf.ENUMERATION_CAP, trials outside [1, that cap],
+    a seed outside [-2^127, 2^127) and jobs < 1, before any work starts.
+    """
+    if trials is None:
+        trials = census_size(L, k)
+    elif not 1 <= trials <= ENUMERATION_CAP:
+        raise ValueError(f"trials must lie in [1, {ENUMERATION_CAP}], got {trials}")
+    elif not -SEED_LIMIT <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [-2^127, 2^127), got {seed}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return trials
+
+
+def _run(L: int, k: int, ctx: FieldContext | None, seed: int | None, trials: int, jobs: int,
+         rows: RowSink | None) -> ExperimentSummary:
+    """Measure on ctx (default: L's table field); read the hits off the histogram."""
     if ctx is not None and ctx.L != L:
         raise ValueError(f"the run is for L={L} but the field has L={ctx.L}")
-    return polytable.context_for(L) if ctx is None else ctx
+    ctx = polytable.context_for(L) if ctx is None else ctx
+    hist = _measure(ctx, k, seed, trials, jobs, rows)
+    target = nk(L, k)
+    hits_lc = sum(m for (lc, _), m in hist.items() if lc == target)
+    hits_period = sum(m for (_, per), m in hist.items() if per == ctx.order)
+    if seed is None:  # a census: exact rates, no interval
+        analytic, empirical, ci = pr_exact(L, k), Fraction(hits_lc, trials), (None, None)
+    else:
+        analytic, empirical = float(pr_exact(L, k)), hits_lc / trials
+        ci = wilson_interval(hits_lc, trials)
+    return ExperimentSummary(
+        L=L, k=k, mode="exhaustive" if seed is None else "monte-carlo", trials=trials,
+        hits_max_lc=hits_lc, hits_max_period=hits_period, max_lc_target=target,
+        empirical_pr=float(empirical), ci_low=ci[0], ci_high=ci[1], seed=seed,
+        analytic_pr=float(analytic), z_score=_z_score(empirical, analytic, trials),
+        histogram=dict(sorted(hist.items())))
 
 
 def run_exhaustive(L: int, k: int, ctx: FieldContext | None = None, *,
-                   jobs: int = 1, collect_records: bool = False) -> ExperimentSummary:
-    """Measure every order-k filter; the census against which nfm is judged."""
-    ctx = _context(L, ctx)
-    total = census_size(L, k)
-    hits_lc, hits_period, records = _measure(ctx, k, None, total, jobs, collect_records)
-    analytic = pr_exact(L, k)
-    empirical = Fraction(hits_lc, total)
-    return ExperimentSummary(
-        L=L, k=k, mode="exhaustive", trials=total,
-        hits_max_lc=hits_lc, hits_max_period=hits_period,
-        max_lc_target=nk(L, k), empirical_pr=float(empirical),
-        ci_low=None, ci_high=None, seed=None,
-        analytic_pr=float(analytic), z_score=_z_score(empirical, analytic, total),
-        records=records)
+                   jobs: int = 1, rows: RowSink | None = None) -> ExperimentSummary:
+    """Measure every order-k filter; the census against which nfm is judged.
+
+    rows, if given, is called with each filter's TrialRecord in census order.
+    """
+    return _run(L, k, ctx, None, check_run(L, k, jobs), jobs, rows)
 
 
 def run_monte_carlo(L: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
                     ctx: FieldContext | None = None, *, jobs: int = 1,
-                    collect_records: bool = False) -> ExperimentSummary:
+                    rows: RowSink | None = None) -> ExperimentSummary:
     """trials uniform filter draws with reproducible per-trial sub-seeds.
 
-    trials is refused past anf.ENUMERATION_CAP, the census's cap, before any
-    work starts.
+    rows, if given, is called with each draw's TrialRecord in trial order.
     """
-    if not 1 <= trials <= ENUMERATION_CAP:
-        raise ValueError(f"trials must lie in [1, {ENUMERATION_CAP}], got {trials}")
-    if not -SEED_LIMIT <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must lie in [-2^127, 2^127), got {seed}")
-    ctx = _context(L, ctx)
-    hits_lc, hits_period, records = _measure(ctx, k, seed, trials, jobs, collect_records)
-    analytic = float(pr_exact(L, k))
-    empirical = hits_lc / trials
-    ci_low, ci_high = wilson_interval(hits_lc, trials)
-    return ExperimentSummary(
-        L=L, k=k, mode="monte-carlo", trials=trials,
-        hits_max_lc=hits_lc, hits_max_period=hits_period,
-        max_lc_target=nk(L, k), empirical_pr=empirical,
-        ci_low=ci_low, ci_high=ci_high, seed=seed,
-        analytic_pr=analytic, z_score=_z_score(empirical, analytic, trials),
-        records=records)
+    return _run(L, k, ctx, seed, check_run(L, k, jobs, trials, seed), jobs, rows)
 
 
 def compare(summary: ExperimentSummary, report: LikelihoodReport) -> Verdict:

@@ -33,7 +33,7 @@ PRIMES_IN_TABLE = [L for L in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
 
 def _timed_census(L, k):
     t0 = time.perf_counter()
-    summary = run_exhaustive(L, k, collect_records=True)
+    summary = run_exhaustive(L, k)
     return summary, time.perf_counter() - t0
 
 
@@ -93,10 +93,10 @@ def test_criterion_4_max_lc_implies_max_period(census3, census4, census5):
     checked = 0
     for (summary, _), L in ((census3, 3), (census4, 4), (census5, 5)):
         period = (1 << L) - 1
-        for rec in summary.records:
-            if rec.is_max:
-                assert rec.period == period, (L, rec)
-                checked += 1
+        for (lc, per), count in summary.histogram.items():
+            if lc == summary.max_lc_target:
+                assert per == period, (L, lc, per)
+                checked += count
     assert checked == 49 + 675 + 29791
     print(f"\nACCEPTANCE 4: PASS  all {checked} max-lc filters have period 2^L - 1")
 

@@ -142,6 +142,27 @@ def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
     assert needle in err
 
 
+def test_refused_census_measures_nothing(capsys, monkeypatch, tmp_path):
+    from filtropt import experiment
+
+    def measure_chunk(*args):
+        raise AssertionError("a filter was measured")
+
+    monkeypatch.setattr(experiment, "_measure_chunk", measure_chunk)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "enumerate", "-L", "6", "-k", "2", "--csv", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
+
+
+def test_refused_sample_writes_no_csv(capsys, tmp_path):
+    path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sample", "-L", "7", "-k", "3", "--trials", "16777217",
+                         "--csv", str(path))
+    assert code == 1 and "trials" in err
+    assert not path.exists()
+
+
 def test_internal_check_failure_exits_3(capsys, monkeypatch):
     def broken_dft(z, ctx):
         raise AssertionError("conjugate sum escaped GF(2); spectrum is inconsistent")
@@ -281,6 +302,11 @@ def test_enumerate_csv_rows_match_per_filter_oracle(capsys, tmp_path, k):
         want.append([anf.format_anf(f), str(lc), str(complexity.min_period_packed(z, 15)),
                      str(int(lc == cosets.nk(4, k)))])
     assert rows[1:] == want
+    pooled = tmp_path / "pooled.csv"
+    code, _, err = run(capsys, "enumerate", "-L", "4", "-k", str(k), "--jobs", "2",
+                       "--csv", str(pooled))
+    assert code == 0, err
+    assert pooled.read_bytes() == csv_path.read_bytes()
 
 
 def test_enumerate_l6_k2_census(capsys):

@@ -11,11 +11,12 @@ from filtropt import (compare, context_for, count_filters, enumerate_filters,
 from filtropt import cli, experiment
 from filtropt.anf import ENUMERATION_CAP
 from filtropt.complexity import bits_to_int
-from filtropt.experiment import _SequenceLab, trial_seed
+from filtropt.experiment import TrialRecord, _SequenceLab, trial_seed
 
 
 def test_census_l3_k2():
-    s = run_exhaustive(3, 2, collect_records=True)
+    rows = []
+    s = run_exhaustive(3, 2, rows=rows.append)
     assert s.mode == "exhaustive"
     assert s.trials == 56
     assert s.hits_max_lc == 49 == nfm(3, 2)
@@ -23,8 +24,8 @@ def test_census_l3_k2():
     assert s.max_lc_target == 6
     assert s.empirical_pr == 49 / 56
     assert s.z_score == 0.0
-    assert len(s.records) == 56
-    for rec in s.records:
+    assert len(rows) == 56
+    for rec in rows:
         assert rec.is_max == (rec.lc == 6)
         if rec.is_max:
             assert rec.period == 7
@@ -37,6 +38,48 @@ def test_census_l4_k2_non_prime():
     # live on the cardinal-2 coset (period 3) and 15 on coset 3 (period 5)
     assert s.hits_max_period == 1008 - 18
     assert s.hits_max_period >= s.hits_max_lc
+    assert s.hits_max_period == sum(n for (_, per), n in s.histogram.items() if per == 15)
+
+
+# the (lc, period) census histogram, measured; the same for every primitive polynomial
+CENSUS_HISTOGRAMS = {
+    (4, 2): {(2, 3): 3, (4, 5): 15, (6, 15): 90, (8, 15): 225, (10, 15): 675},
+    (4, 3): {(4, 15): 15, (6, 15): 45, (8, 15): 450, (10, 15): 1350, (12, 15): 3375,
+             (14, 15): 10125},
+    (5, 2): {(5, 31): 62, (10, 31): 2883, (15, 31): 29791},
+}
+PRIMITIVE_POLYS = {4: [0x13, 0x19], 5: [0x25, 0x29, 0x2F, 0x37, 0x3B, 0x3D]}
+
+
+def test_primitive_polys_are_all_of_their_degree():
+    for L, polys in PRIMITIVE_POLYS.items():
+        found = []
+        for poly in range((1 << L) + 1, 2 << L, 2):
+            try:
+                context_for(L, poly)
+            except ValueError:
+                continue
+            found.append(poly)
+        assert found == polys
+
+
+@pytest.mark.parametrize("L, k", sorted(CENSUS_HISTOGRAMS))
+def test_census_histogram_is_polynomial_independent(L, k):
+    for poly in PRIMITIVE_POLYS[L]:
+        s = run_exhaustive(L, k, context_for(L, poly))
+        assert s.histogram == CENSUS_HISTOGRAMS[L, k], hex(poly)
+        assert sum(s.histogram.values()) == s.trials
+        assert s.hits_max_lc == s.histogram[s.max_lc_target, (1 << L) - 1] == nfm(L, k)
+
+
+def test_rows_stream_before_the_next_census_block(monkeypatch):
+    events = []
+    measure_block = _SequenceLab.measure_block
+    monkeypatch.setattr(_SequenceLab, "measure_block",
+                        lambda self, z: events.append("block") or measure_block(self, z))
+    run_exhaustive(5, 2, rows=events.append)
+    assert events.count("block") == 16
+    assert isinstance(events[1], TrialRecord) and events.index("block", 1) > 1
 
 
 def test_census_cap():
@@ -45,26 +88,29 @@ def test_census_cap():
 
 
 def test_census_jobs_invariance():
-    a = run_exhaustive(4, 2, collect_records=True)
-    b = run_exhaustive(4, 2, jobs=4, collect_records=True)
+    a_rows, b_rows = [], []
+    a = run_exhaustive(4, 2, rows=a_rows.append)
+    b = run_exhaustive(4, 2, jobs=4, rows=b_rows.append)
     assert (a.hits_max_lc, a.hits_max_period) == (b.hits_max_lc, b.hits_max_period)
-    assert [r.filter_anf for r in a.records] == [r.filter_anf for r in b.records]
+    assert [r.filter_anf for r in a_rows] == [r.filter_anf for r in b_rows]
 
 
 def test_monte_carlo_determinism_and_jobs_invariance():
-    a = run_monte_carlo(5, 2, 300, 11, collect_records=True)
-    b = run_monte_carlo(5, 2, 300, 11, collect_records=True)
-    c = run_monte_carlo(5, 2, 300, 11, jobs=3, collect_records=True)
+    a_rows, c_rows = [], []
+    a = run_monte_carlo(5, 2, 300, 11, rows=a_rows.append)
+    b = run_monte_carlo(5, 2, 300, 11)
+    c = run_monte_carlo(5, 2, 300, 11, jobs=3, rows=c_rows.append)
     assert a.hits_max_lc == b.hits_max_lc == c.hits_max_lc
     assert a.hits_max_period == c.hits_max_period
-    assert [r.filter_anf for r in a.records] == [r.filter_anf for r in c.records]
+    assert [r.filter_anf for r in a_rows] == [r.filter_anf for r in c_rows]
     assert (a.ci_low, a.ci_high, a.z_score) == (c.ci_low, c.ci_high, c.z_score)
 
 
 def test_monte_carlo_different_seeds_differ():
-    a = run_monte_carlo(5, 2, 300, 11, collect_records=True)
-    b = run_monte_carlo(5, 2, 300, 12, collect_records=True)
-    assert [r.filter_anf for r in a.records] != [r.filter_anf for r in b.records]
+    a, b = [], []
+    run_monte_carlo(5, 2, 300, 11, rows=a.append)
+    run_monte_carlo(5, 2, 300, 12, rows=b.append)
+    assert [r.filter_anf for r in a] != [r.filter_anf for r in b]
 
 
 def test_monte_carlo_validation():
@@ -123,10 +169,11 @@ def test_records_follow_non_default_poly():
         z = filter_sequence(parse_anf(rec.filter_anf, 5), ctx)
         return rec.lc == linear_complexity_periodic(z) and rec.period == min_period(z)
 
-    census = run_exhaustive(5, 2, ctx, collect_records=True)
-    assert all(oracle(rec) for rec in random.Random(29).sample(census.records, 600))
-    mc = run_monte_carlo(5, 2, 300, 29, ctx, collect_records=True)
-    assert all(oracle(rec) for rec in mc.records)
+    census, mc = [], []
+    run_exhaustive(5, 2, ctx, rows=census.append)
+    assert all(oracle(rec) for rec in random.Random(29).sample(census, 600))
+    run_monte_carlo(5, 2, 300, 29, ctx, rows=mc.append)
+    assert all(oracle(rec) for rec in mc)
 
 
 class _FakePool:
@@ -151,9 +198,10 @@ def test_jobs_clamped_to_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(_FakePool, "sizes", [])
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
-    serial = run_exhaustive(4, 2, collect_records=True)
-    pooled = run_exhaustive(4, 2, jobs=8, collect_records=True)
-    assert pooled.records == serial.records
+    serial, pooled = [], []
+    run_exhaustive(4, 2, rows=serial.append)
+    run_exhaustive(4, 2, jobs=8, rows=pooled.append)
+    assert pooled == serial
     run_monte_carlo(5, 2, 3, 1, jobs=8)
     assert _FakePool.sizes == [4, 3]
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: None)
@@ -162,9 +210,10 @@ def test_jobs_clamped_to_chunks_and_cpus(monkeypatch):
 
 
 def test_max_lc_implies_max_period_per_trial():
-    s = run_monte_carlo(6, 3, 400, 5, collect_records=True)
+    rows = []
+    s = run_monte_carlo(6, 3, 400, 5, rows=rows.append)
     period = (1 << 6) - 1
-    for rec in s.records:
+    for rec in rows:
         assert rec.is_max == (rec.lc == s.max_lc_target)
         if rec.is_max:
             assert rec.period == period
@@ -245,11 +294,12 @@ def test_census_outputs_match_per_filter_producer(L, k):
 def test_census_past_one_word_measures_each_filter():
     # L = 7: 127-bit periods do not fit a word lane, so the census walks its
     # filters one at a time through the scalar kernels, in census order
-    census = run_exhaustive(7, 1, collect_records=True)
+    rows = []
+    census = run_exhaustive(7, 1, rows=rows.append)
     lab = _SequenceLab(context_for(7))
     want = [lab.measure(lab.filter_period_packed(f)) for f in enumerate_filters(7, 1)]
-    assert [(rec.lc, rec.period) for rec in census.records] == want
-    assert [rec.filter_anf for rec in census.records] == [
+    assert [(rec.lc, rec.period) for rec in rows] == want
+    assert [rec.filter_anf for rec in rows] == [
         format_anf(f) for f in enumerate_filters(7, 1)]
     assert (census.hits_max_lc, census.hits_max_period) == (nfm(7, 1), 127)
 
@@ -261,12 +311,15 @@ def test_census_split_identity_l5(monkeypatch):
     chunks = []
     measure_chunk = experiment._measure_chunk
     monkeypatch.setattr(experiment, "_measure_chunk",
-                        lambda args: chunks.append(args[3:5]) or measure_chunk(args))
-    serial = run_exhaustive(5, 2, collect_records=True)
-    pooled = run_exhaustive(5, 2, jobs=2, collect_records=True)
+                        lambda args, rows=None: chunks.append(args[3:5])
+                        or measure_chunk(args, rows))
+    serial_rows, pooled_rows = [], []
+    serial = run_exhaustive(5, 2, rows=serial_rows.append)
+    pooled = run_exhaustive(5, 2, jobs=2, rows=pooled_rows.append)
     assert chunks == [(0, 32736), (0, 16368), (16368, 32736)]
     assert 16368 % (1 << experiment.CENSUS_BLOCK_BITS)
     assert pooled == serial
+    assert pooled_rows == serial_rows and len(serial_rows) == 32736
     assert (serial.hits_max_lc, serial.hits_max_period) == (nfm(5, 2), 32736)
 
 
