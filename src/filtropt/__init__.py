@@ -15,7 +15,7 @@ from .complexity import linear_complexity_periodic, min_period
 from .cosets import (CyclotomicCoset, cardinal_counts, coset_of, coset_period,
                      cosets_up_to_weight, nk)
 from .field import FieldContext, FieldElement
-from .lfsr import trace_consistency, window_table
+from .lfsr import window_table
 from .likelihood import LikelihoodReport, ln_probability_parts, nfm, pr_exact, pr_report
 from .polytable import context_for
 from .spectral import (SpectralLine, Spectrum, dft, lc_from_spectrum,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldContext", "FieldElement",
-    "trace_consistency", "window_table",
+    "window_table",
     "FilterFunction", "evaluate", "filter_sequence", "count_filters",
     "random_filter", "enumerate_filters", "parse_anf", "format_anf",
     "CyclotomicCoset", "coset_of", "cosets_up_to_weight", "nk",

@@ -98,7 +98,7 @@ def census_size(L: int, k: int) -> int:
         # count written as a power of two: it can be too big even to print
         raise ValueError(
             f"census of about 2^{total.bit_length() - 1} filters exceeds the cap "
-            f"of {ENUMERATION_CAP}; use run_monte_carlo instead")
+            f"of {ENUMERATION_CAP}; use sample (run_monte_carlo) instead")
     return total
 
 

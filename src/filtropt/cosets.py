@@ -60,7 +60,7 @@ def _all_cosets(L: int) -> tuple[CyclotomicCoset, ...]:
     if L > ENUMERATION_MAX_L:
         raise ValueError(
             f"coset enumeration capped at L <= {ENUMERATION_MAX_L} "
-            f"(use cardinal_counts for large L)")
+            f"(use prob, or cardinal_counts, for large L)")
     n = (1 << L) - 1
     seen = bytearray(n)
     out = []

@@ -1,4 +1,4 @@
-"""GF(2^L) as a primitive modulus verified by its register, plus exp/log tables.
+"""GF(2^L) as a primitive modulus verified by alpha's powers, plus its tables.
 
 Field elements are plain ints carrying the polynomial-basis coefficient
 bitmask (bit i = coefficient of x^i), so 0 and 1 are the additive and
@@ -8,12 +8,13 @@ primitive modulus of degree L and its tables: ``exp_table[n]`` is alpha^n,
 the absolute trace into a masked parity, so a product is a sum of logs and
 a trace is one popcount.
 
-Primitivity is checked by the generator itself: an LFSR of length L runs
-through all 2^L - 1 nonzero states exactly when its feedback polynomial is
-primitive (Golomb, Shift Register Sequences, 1967).  The constructor clocks
-the Fibonacci register of the modulus from state 1 and keeps the states it
-visits as the state-1 window table (see lfsr.window_table).  Before any
-clock it checks the one cap on sequence work, 2 <= L <= DESK_MAX_L.
+Primitivity is checked by the powers themselves: the modulus is primitive
+exactly when alpha = x has order 2^L - 1, and the constructor steps
+v -> alpha * v (a Galois register) from 1 until v returns, keeping every
+power as the exp table.  The m-sequence is the trace sequence
+s_n = Tr(alpha^n) (Golomb, Shift Register Sequences, 1967), so the window
+table is read off the powers too (see lfsr.window_table).  Before any step
+the constructor checks the one cap on sequence work, 2 <= L <= DESK_MAX_L.
 
 PRIMITIVE holds the default modulus for every length up to that cap, and
 its largest key is the cap.  Entry L is the first primitive polynomial among
@@ -79,14 +80,14 @@ def _check_length(L: int) -> None:
 
 
 class FieldContext:
-    """A primitive modulus of degree L, its window table and exp/log tables.
+    """A primitive modulus of degree L and the tables read off alpha's powers.
 
-    Construction clocks the Fibonacci register whose taps are the modulus
-    coefficients below x^L (the layout of lfsr.window_table) from state 1,
-    and refuses the modulus unless the register first returns to state 1
-    after exactly 2^L - 1 clocks.  Safe to share across threads/processes:
-    every table is read-only, and a pickled context is rebuilt (and
-    re-verified) on arrival rather than shipped as writeable copies.
+    Construction refuses the modulus unless v -> alpha * v, from 1, first
+    returns to 1 after exactly 2^L - 1 steps.  exp_table holds those powers,
+    trace_mask and the window table come from them.  Safe to share across
+    threads/processes: every table is read-only, and a pickled context is
+    rebuilt (and re-verified) on arrival rather than shipped as writeable
+    copies.
     """
 
     def __init__(self, L: int, modulus: int):
@@ -95,20 +96,34 @@ class FieldContext:
             raise ValueError(f"polynomial 0x{modulus:x} does not have degree {L}")
         self.L = L
         self.modulus = modulus
-        self.order = (1 << L) - 1
-        taps = modulus & self.order
-        top = L - 1
-        states = []
-        state = 1
-        for _ in range(self.order):
-            states.append(state)
-            state = state >> 1 | ((state & taps).bit_count() & 1) << top
-            if state <= 1:  # back at state 1, or stuck at 0 (x divides the modulus)
-                break
-        if state != 1 or len(states) != self.order:
+        self.order = order = (1 << L) - 1
+        powers = [1]
+        if modulus & 1:  # else x divides the modulus and has no order at all
+            v = 2
+            while v != 1:  # x is invertible, so v comes back to 1
+                powers.append(v)
+                v <<= 1
+                if v >> L:
+                    v ^= modulus
+        if len(powers) != order:
             raise ValueError(
                 f"0x{modulus:x} is not primitive of degree {L}; refusing to build field")
-        self._windows = np.array(states, dtype=np.int64)
+        self.exp_table = np.array(powers, dtype=np.int64)
+        self.exp_table.flags.writeable = False
+        # bit i is Tr(alpha^i), the xor of alpha^(i 2^j) over j < L
+        self.trace_mask = 0
+        for i in range(L):
+            t = 0
+            for j in range(L):
+                t ^= powers[(i << j) % order]
+            if t not in (0, 1):
+                raise AssertionError("trace of basis element outside GF(2)")
+            self.trace_mask |= t << i
+        # s_n = Tr(alpha^n) obeys the modulus's recurrence, so its windows are
+        # the Fibonacci register's states, all 2^L - 1 of them on one cycle
+        s = (np.bitwise_count(self.exp_table & self.trace_mask) & 1).astype(np.int64)
+        s = np.resize(s, order + L - 1)  # one period and its first L - 1 bits again
+        self._windows = sum(s[i:i + order] << i for i in range(L))
         self._windows.flags.writeable = False
 
     def __reduce__(self):
@@ -125,42 +140,9 @@ class FieldContext:
         return hash((self.L, self.modulus))
 
     @cached_property
-    def exp_table(self) -> np.ndarray:
-        """alpha^n for n in [0, 2^L - 2], read-only."""
-        powers = []
-        v = 1
-        for _ in range(self.order):  # the Galois step v -> alpha * v
-            powers.append(v)
-            v <<= 1
-            if v >> self.L:
-                v ^= self.modulus
-        if v != 1:
-            raise AssertionError("alpha does not have full order")
-        exp = np.array(powers, dtype=np.int64)
-        exp.flags.writeable = False
-        return exp
-
-    @cached_property
     def log_table(self) -> np.ndarray:
         """Discrete log base alpha of nonzero elements, read-only (log_table[0] is 0)."""
         log = np.zeros(1 << self.L, dtype=np.int64)
         log[self.exp_table] = np.arange(self.order, dtype=np.int64)
         log.flags.writeable = False
         return log
-
-    @cached_property
-    def trace_mask(self) -> int:
-        """Bitmask m with Tr(a) = parity(a & m).
-
-        Bit i is Tr(alpha^i), the xor of alpha^(i 2^j) over j < L.
-        """
-        exp = self.exp_table
-        mask = 0
-        for i in range(self.L):
-            t = 0
-            for j in range(self.L):
-                t ^= int(exp[(i << j) % self.order])
-            if t not in (0, 1):
-                raise AssertionError("trace of basis element outside GF(2)")
-            mask |= t << i
-        return mask

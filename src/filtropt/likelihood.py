@@ -40,6 +40,12 @@ _GUARD_DIGITS = 10
 # L = 257, k = 128, while 100 000 take ~27 s even at L = 5.
 MAX_DIGITS = 10_000
 
+# Largest k * L a report accepts.  cardinal_counts' exact binomial sums cost
+# about k * L: 2.0 s at L = 10^5, k = 5 * 10^4 and 3.6 s at k = L = 10^5,
+# the slowest the cap admits, while L = 2 * 10^5, k = 10^5 takes 7.5 s.  At
+# k = 1 it keeps L <= 10^10, so trial division of L stops by sqrt(L) <= 10^5.
+MAX_REPORT_KL = 10 ** 10
+
 
 def _ln_one_minus_pow2(d: int) -> mpf:
     """ln(1 - 2^-d) at the current working precision, for any d >= 1.
@@ -132,6 +138,8 @@ def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
     """
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in [1, {MAX_DIGITS}], got {digits}")
+    if k * L > MAX_REPORT_KL:
+        raise ValueError(f"k*L = {k}*{L} exceeds the report cap of {MAX_REPORT_KL}")
     counts = cardinal_counts(L, k)
     # nk(L, k) is the cardinals' total, which cardinal_counts checked against
     # the binomial sum; summing that again costs as much as the rest at L = 10^5

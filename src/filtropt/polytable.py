@@ -1,8 +1,8 @@
 """The field for a register length: its default modulus or a user polynomial.
 
 context_for(L) builds the FieldContext of field.PRIMITIVE[L], context_for(L,
-poly) that of a user polynomial; either is verified by clocking its register
-over one period, and each is built once per process.
+poly) that of a user polynomial; either is verified by stepping the powers of
+alpha = x over one period, and each is built once per process.
 """
 from __future__ import annotations
 

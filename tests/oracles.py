@@ -5,9 +5,9 @@ literal scan over every candidate tap mask, Berlekamp-Massey, the register
 recurrence and the LFSR replay run on plain bit lists, the trace and
 spectral references work on coefficient lists rather than bitmasks, and
 primitivity is the order of x computed by square-and-multiply against a
-trial-division factorization of 2^L - 1, where the package clocks a register,
-and ln(1 - 2^-d) is a log or a summed power series, where the package calls
-mpmath's log1p.
+trial-division factorization of 2^L - 1, where the package steps the powers
+of x until they return to 1, and ln(1 - 2^-d) is a log or a summed power
+series, where the package calls mpmath's log1p.
 """
 from __future__ import annotations
 
@@ -134,6 +134,25 @@ def trace_reference(a_bits: list[int], mod: list[int], L: int) -> int:
             acc[i] ^= v[i]
     assert acc[1:] == [0] * (L - 1), "trace landed outside GF(2)"
     return acc[0]
+
+
+def trace_sequence_reference(modulus: int, L: int) -> list[int]:
+    """Tr(x^n) modulo the degree-L modulus for n over one period of 2^L - 1.
+
+    x^n is stepped on coefficient lists, and the trace being linear, each
+    Tr(x^n) is the parity of x^n's coefficients against the traces of the
+    basis 1, x, ..., x^(L-1), each taken by trace_reference.
+    """
+    mod = [modulus >> i & 1 for i in range(L + 1)]
+    basis = [trace_reference([0] * i + [1], mod, L) for i in range(L)]
+    v = [1] + [0] * (L - 1)
+    out = []
+    for _ in range((1 << L) - 1):
+        out.append(sum(b & c for b, c in zip(basis, v)) % 2)
+        v = [0] + v
+        if v.pop():  # x^L = the modulus's low coefficients
+            v = [a ^ m for a, m in zip(v, mod)]
+    return out
 
 
 def reciprocal(poly: int, degree: int) -> int:

@@ -133,6 +133,11 @@ def test_unknown_length_rejected(capsys):
     (["sample", "-L", "17", "-k", "3", "--trials", "5"], "capped"),
     (["analyze", "-L", "17", "--poly", "20009", "--filter", "x0"], "capped"),
     (["sample", "-L", "7", "-k", "3", "--trials", "16777217"], "trials"),
+    (["enumerate", "-L", "7", "-k", "2"], "use sample"),
+    (["cosets", "-L", "21", "-k", "1"], "use prob"),
+    (["prob", "-L", "1000000", "-k", "500000"], "report cap"),
+    (["prob", "-L", "1000000000000000003", "-k", "1"], "report cap"),
+    (["analyze", "-L", "5", "--filter", "x0", "--state", "20"], "got 0x20"),
 ])
 def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
     code, out, err = run(capsys, *argv)

@@ -148,7 +148,7 @@ def test_is_primitive_validation_errors():
         FieldContext(4, 0b1011)
     with pytest.raises(ValueError, match="degree"):
         FieldContext(3, -0b1011)
-    # divisible by x: the register falls to state 0 on its first clock
+    # divisible by x: x has no order, so the modulus is refused before any step
     with pytest.raises(ValueError, match="not primitive"):
         FieldContext(3, 0b1010)
 

@@ -1,9 +1,10 @@
 import pytest
 
-from filtropt import context_for, min_period, trace_consistency, window_table
+from filtropt import context_for, min_period, window_table
 from filtropt.complexity import berlekamp_massey_packed, bits_to_int
 
-from oracles import m_sequence_reference, poly_list_mulmod, reciprocal, trace_reference
+from oracles import (m_sequence_reference, poly_list_mulmod, reciprocal, trace_reference,
+                     trace_sequence_reference)
 
 
 def _bits(ctx, state=1):
@@ -48,13 +49,16 @@ def test_windows_enumerate_nonzero_vectors(L):
 
 
 def test_window_table_matches_recurrence():
-    for L in (2, 3, 4, 5, 8, 12):
+    for L in range(2, 17):
         ctx = context_for(L)
         for state in range(1, 1 << L) if L <= 5 else (1, 3, (1 << L) - 1):
             wins = window_table(ctx, state)
-            want = m_sequence_reference(ctx.modulus, L, state, ctx.order + L - 1)
-            assert wins.tolist() == [sum(want[n + i] << i for i in range(L))
-                                     for n in range(ctx.order)]
+            want = m_sequence_reference(ctx.modulus, L, state, ctx.order + L)
+            windows, w = [], state
+            for n in range(ctx.order):  # window n + 1 drops a_n and takes in a_(n+L)
+                windows.append(w)
+                w = w >> 1 | want[n + L] << (L - 1)
+            assert wins.tolist() == windows
             assert not wins.flags.writeable
 
 
@@ -80,47 +84,51 @@ def test_period_balance(L):
     assert len(bits) - sum(bits) == (1 << (L - 1)) - 1
 
 
-def test_trace_consistency_small(ctx3):
-    bits = _bits(ctx3)
-    assert trace_consistency(ctx3, bits_to_int(bits)) is True
-    # brute confirmation: some nonzero c matches the whole period
-    mod = [1, 1, 0, 1]  # x^3 + x + 1
-    matches = []
-    for c in range(1, 8):
-        v = [c >> i & 1 for i in range(3)]
-        good = True
-        for bit in bits:
-            if trace_reference(v, mod, 3) != bit:
-                good = False
-                break
-            v = poly_list_mulmod(v, [0, 1], mod)
-        if good:
-            matches.append(c)
-    assert len(matches) == 1
+def _trace_shift(bits, trace_seq):
+    """The t with bits[n] = trace_seq[(t + n) % N] for every n, or None."""
+    s = bytes(trace_seq)
+    t = (s + s).find(bytes(bits))
+    return t if len(bits) == len(s) and t >= 0 else None
 
 
-def test_trace_consistency_rejects_zero_sequence(ctx3):
-    assert trace_consistency(ctx3, 0) is False
+def test_trace_consistency_small():
+    # brute force: exactly one nonzero c has Tr(c alpha^n) equal to the whole period
+    for L in (3, 5, 8):
+        ctx = context_for(L)
+        bits = _bits(ctx)
+        mod = [ctx.modulus >> i & 1 for i in range(L + 1)]
+        matches = []
+        for c in range(1, 1 << L):
+            v = [c >> i & 1 for i in range(L)]
+            for bit in bits:
+                if trace_reference(v, mod, L) != bit:
+                    break
+                v = poly_list_mulmod(v, [0, 1], mod)
+            else:
+                matches.append(c)
+        assert len(matches) == 1, (L, matches)
 
 
 @pytest.mark.parametrize("L", range(2, 17))
 def test_trace_consistency_all_table_lengths(L):
     ctx = context_for(L)
-    assert trace_consistency(ctx, bits_to_int(_bits(ctx))) is True
+    assert _trace_shift(_bits(ctx), trace_sequence_reference(ctx.modulus, L)) is not None
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 7, 10])
 def test_trace_consistency_every_phase_and_no_corruption(L):
     # every state is a phase of the one trace sequence; flipping any one bit
-    # of a period, or sending a non-m-sequence, breaks the trace form
+    # of a period, or sending a non-m-sequence, leaves the trace form
     ctx = context_for(L)
+    trace_seq = trace_sequence_reference(ctx.modulus, L)
+    shifts = set()
     for state in range(1, 1 << L) if L <= 4 else (1, 2, (1 << L) - 1):
-        z = bits_to_int(_bits(ctx, state))
-        assert trace_consistency(ctx, z) is True
+        bits = _bits(ctx, state)
+        shifts.add(_trace_shift(bits, trace_seq))
         for n in range(0, ctx.order, max(1, ctx.order // 9)):
-            assert trace_consistency(ctx, z ^ 1 << n) is False
-    assert trace_consistency(ctx, (1 << ctx.order) - 1) is False
-    with pytest.raises(ValueError):
-        trace_consistency(ctx, 1 << ctx.order)
-    with pytest.raises(ValueError):
-        trace_consistency(ctx, -1)
+            bits[n] ^= 1
+            assert _trace_shift(bits, trace_seq) is None
+            bits[n] ^= 1
+    assert None not in shifts and len(shifts) == (ctx.order if L <= 4 else 3)
+    for constant in (0, 1):
+        assert _trace_shift([constant] * ctx.order, trace_seq) is None
