@@ -14,14 +14,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations, count, repeat
 from math import comb
 from typing import Iterable, Iterator
 
 from .field import FieldContext
 from .lfsr import window_table
-
-Monomial = tuple[int, ...]
 
 ENUMERATION_CAP = 1 << 24  # most filters one run measures: a census, or sample --trials
 _TAP_RE = re.compile(r"^x(\d+)$")
@@ -51,11 +49,6 @@ class FilterFunction:
     def k(self) -> int:
         """Order: the largest monomial size."""
         return max(m.bit_count() for m in self.masks)
-
-    def sorted_monomials(self) -> list[Monomial]:
-        """Tap tuples, taps ascending, monomials ordered by (size, taps)."""
-        monos = [tuple(t for t in range(m.bit_length()) if m >> t & 1) for m in self.masks]
-        return sorted(monos, key=lambda m: (len(m), m))
 
     def __str__(self) -> str:
         return format_anf(self)
@@ -178,9 +171,18 @@ def parse_anf(text: str, L: int) -> FilterFunction:
     return filter_from_monomial_lists(L, monomials)
 
 
+@lru_cache(maxsize=1 << 16)  # every monomial of an L = 16 register
+def _monomial_text(L: int, mask: int) -> tuple[int, str]:
+    """(sort key, text) of a monomial.  Keys order by size, then taps: at one size,
+    tap tuples ascend as the masks read with x0 as the top bit descend."""
+    taps = [t for t in range(L) if mask >> t & 1]
+    x0_on_top = sum(1 << (L - 1 - t) for t in taps)
+    return len(taps) << L | ((1 << L) - 1 - x0_on_top), "*".join(f"x{t}" for t in taps)
+
+
 def format_anf(f: FilterFunction) -> str:
     """Canonical text form: taps ascending, monomials by (size, taps)."""
-    return " + ".join("*".join(f"x{t}" for t in mono) for mono in f.sorted_monomials())
+    return " + ".join([text for _, text in sorted(map(_monomial_text, repeat(f.L), f.masks))])
 
 
 def filter_from_monomial_lists(L: int, monomials: Iterable[list[int]]) -> FilterFunction:

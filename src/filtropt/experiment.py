@@ -5,25 +5,20 @@ linear complexity and its exact minimal period.  A run tallies one
 histogram of (lc, period) pairs, and reads off it how many filters reach
 the ceiling nk(L, k) and the full period 2^L - 1.
 
-Exhaustive mode walks the whole filter space in census blocks of at most
-2^CENSUS_BLOCK_BITS filters: a block's outputs come from xor-ing the
-monomial vectors by subset doubling in census order, and the block is
-measured at once by the word kernels, Berlekamp-Massey over 2N bits and
-the prime-factor period descent in one uint64 lane per filter; the first
-filter of every block is measured again by the scalar kernels as a spot
-check.  That takes periods N <= complexity.WORD_MAX_PERIOD (L <= 6); a
-longer census walks its filters one at a time, like Monte Carlo.  Census
-filter objects are built only for a row sink or a long period.
-
-Monte Carlo mode draws uniformly with a per-trial generator seeded by a
-counter-based mix (blake2b over master seed and trial index) and measures
-each draw with the scalar kernels.  Both modes give bit-identical results
-for a given (L, k, seed, trials) no matter how filters are scheduled or how
-many workers run them: the workers' histograms are summed.
+A run is cut into chunks the same way for any worker count, and a chunk
+returns numbers only, lc * (N + 1) + period per filter, which the parent
+process adds to the histogram.  A census of periods N <= WORD_MAX_PERIOD
+(L <= 6) is cut into census blocks of at most 2^CENSUS_BLOCK_BITS filters,
+whose outputs come from xor-ing the monomial vectors by subset doubling and
+are measured at once by the word kernels, one uint64 lane per filter; each
+block's first filter is measured again by the scalar kernels as a spot
+check.  A longer census, and Monte Carlo, measure chunks of at most
+2^CENSUS_BLOCK_BITS filters one at a time.  Monte Carlo seeds each trial's
+generator by blake2b over master seed and trial index, so both modes give
+bit-identical results for a given (L, k, seed, trials) at any worker count.
 
 A row sink, if given, gets each filter's TrialRecord in census or trial
-order: as the filter is measured with one worker; with several, each
-worker holds its chunk's records until the chunk returns.
+order from the parent process, which derives each chunk's filters again.
 """
 from __future__ import annotations
 
@@ -32,17 +27,17 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import islice
+from functools import lru_cache
 from math import sqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import polytable
-from .anf import (ENUMERATION_CAP, FilterFunction, _check_field, census_size,
+from .anf import (ENUMERATION_CAP, FilterFunction, _check_field, _decode_selector, census_size,
                   enumerate_filters, format_anf, random_filter, selectable_masks)
 from .complexity import (WORD_MAX_PERIOD, min_period_packed, min_period_words,
                          periodic_lc_packed, periodic_lc_words)
@@ -114,7 +109,7 @@ class _SequenceLab:
     cached value vector per monomial.  A monomial's vector is the AND of its
     taps' vectors, since its value is the product of those window bits.
     A census of word-sized periods takes the same xors a block of filters
-    at a time (census_outputs) and measures each block at once
+    at a time (census_block) and measures each block at once
     (measure_block).
     """
 
@@ -126,6 +121,7 @@ class _SequenceLab:
         self._taps = [int.from_bytes(np.packbits(windows >> t & 1, bitorder="little").tobytes(),
                                      "little") for t in range(ctx.L)]
         self._vectors: dict[int, int] = {}
+        self._tables: dict[int, np.ndarray] = {}  # census_block's, per order k
 
     def _vector(self, mask: int) -> int:
         vec = self._vectors.get(mask)
@@ -149,35 +145,29 @@ class _SequenceLab:
         """(linear complexity, minimal period) of a packed output period."""
         return periodic_lc_packed(z, self.period), min_period_packed(z, self.period)
 
-    def census_outputs(self, k: int, start: int, stop: int) -> Iterator[np.ndarray]:
-        """Output periods of census filters start..stop-1, in census blocks.
+    def census_block(self, k: int, start: int, stop: int) -> np.ndarray:
+        """Output periods of census filters start..stop-1, all in one census block.
 
         Census index i is selector s = i + 2^n_low (anf.selectable_masks), and
         its output is the xor of the vectors of the selector's set bits.  A
-        table over the low CENSUS_BLOCK_BITS selector bits is built by subset
-        doubling, table[j | 1 << t] = table[j] ^ vec[t]; an aligned block of
-        selectors is that table xor the vectors of its shared high bits.
-        Lanes are uint64, so the period must be at most WORD_MAX_PERIOD bits.
+        table over the low CENSUS_BLOCK_BITS selector bits is built once per k
+        by subset doubling, table[j | 1 << t] = table[j] ^ vec[t]; a block is
+        that table xor the vectors of the block's shared high bits.  Lanes
+        are uint64, so the period must be at most WORD_MAX_PERIOD bits.
         """
         pool, n_low = selectable_masks(self.ctx.L, k)
-        vecs = [0] * len(pool)
-        for mask, bit in pool:
-            vecs[bit] = self._vector(mask)
-        width = min(CENSUS_BLOCK_BITS, len(pool))
-        table = np.zeros(1, np.uint64)
-        for vec in vecs[:width]:
-            table = np.concatenate([table, table ^ np.uint64(vec)])
-        size = 1 << width
-        selector, last = start + (1 << n_low), stop + (1 << n_low)
-        while selector < last:
-            base = selector & -size
-            end = min(base + size, last)
-            head = 0
-            for t in range(width, len(pool)):
-                if base >> t & 1:
-                    head ^= vecs[t]
-            yield table[selector - base:end - base] ^ np.uint64(head)
-            selector = end
+        if k not in self._tables:
+            table = np.zeros(1, np.uint64)
+            for mask, _ in sorted(pool, key=lambda pair: pair[1])[:CENSUS_BLOCK_BITS]:
+                table = np.concatenate([table, table ^ np.uint64(self._vector(mask))])
+            self._tables[k] = table
+        table = self._tables[k]
+        first, last = start + (1 << n_low), stop + (1 << n_low)
+        base = first & -len(table)
+        head = 0
+        for mask in _decode_selector(pool, base):
+            head ^= self._vector(mask)
+        return table[first - base:last - base] ^ np.uint64(head)
 
     def measure_block(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(linear complexities, minimal periods) of a census block, as int64 arrays.
@@ -212,58 +202,63 @@ def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _measure_chunk(args: tuple[FieldContext, int, int | None, int, int],
-                   rows: RowSink | None = None) -> Counter:
-    """(lc, period) histogram of filters lo..hi-1: census indices if seed is None,
-    else seeded draws; rows, if given, gets each filter's record in that order."""
-    ctx, k, seed, lo, hi = args
-    lab = _SequenceLab(ctx)
-    n, target = lab.period, nk(ctx.L, k)
-    hist = Counter()
-    if seed is None and n <= WORD_MAX_PERIOD:
-        filters = enumerate_filters(ctx.L, k, start=lo, stop=hi) if rows is not None else None
-        for z in lab.census_outputs(k, lo, hi):
-            lcs, periods = lab.measure_block(z)
-            cells, counts = np.unique(lcs * (n + 1) + periods, return_counts=True)
-            hist.update({divmod(c, n + 1): m for c, m in zip(cells.tolist(), counts.tolist())})
-            if rows is not None:
-                for f, lc, per in zip(islice(filters, len(z)), lcs.tolist(), periods.tolist()):
-                    rows(TrialRecord(format_anf(f), lc, per, int(lc == target)))
-        return hist
+_lab = lru_cache(maxsize=1)(_SequenceLab)  # a run's lab, once per process; _measure clears it
+
+
+def _filters(L: int, k: int, seed: int | None, lo: int, hi: int) -> Iterator[FilterFunction]:
+    """Filters lo..hi-1 of a run: census indices if seed is None, else seeded draws."""
     if seed is None:
-        filters = enumerate_filters(ctx.L, k, start=lo, stop=hi)
+        return enumerate_filters(L, k, start=lo, stop=hi)
+    return (random_filter(L, k, random.Random(trial_seed(seed, i))) for i in range(lo, hi))
+
+
+def _measure_chunk(args: tuple[FieldContext, int, int | None, int, int]) -> np.ndarray:
+    """lc * (N + 1) + period of each of filters lo..hi-1, in order, as int64."""
+    ctx, k, seed, lo, hi = args
+    lab, n = _lab(ctx), ctx.order
+    if seed is None and n <= WORD_MAX_PERIOD:
+        lcs, periods = lab.measure_block(lab.census_block(k, lo, hi))
+        return lcs * (n + 1) + periods
+    return np.array([lc * (n + 1) + per for lc, per in
+                     (lab.measure(lab.filter_period_packed(f))
+                      for f in _filters(ctx.L, k, seed, lo, hi))], np.int64)
+
+
+def _chunks(ctx: FieldContext, k: int, seed: int | None, total: int,
+            jobs: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of a run: its census blocks for word-sized periods, else
+    at most 2^CENSUS_BLOCK_BITS and total / (4 * min(jobs, cpu count)) filters."""
+    if seed is None and ctx.order <= WORD_MAX_PERIOD:
+        pool, n_low = selectable_masks(ctx.L, k)
+        step = 1 << min(CENSUS_BLOCK_BITS, len(pool))
+        first = -(1 << n_low) % step or step
     else:
-        filters = (random_filter(ctx.L, k, random.Random(trial_seed(seed, i)))
-                   for i in range(lo, hi))
-    for f in filters:
-        lc, per = lab.measure(lab.filter_period_packed(f))
-        hist[lc, per] += 1
-        if rows is not None:
-            rows(TrialRecord(format_anf(f), lc, per, int(lc == target)))
-    return hist
-
-
-def _held_chunk(args: tuple, keep: bool) -> tuple[Counter, list[TrialRecord]]:
-    """A worker's chunk: its histogram and, if keep, its records in order."""
-    held: list[TrialRecord] = []
-    return _measure_chunk(args, held.append if keep else None), held
+        workers = min(jobs, os.cpu_count() or 1)
+        step = first = max(1, min(1 << CENSUS_BLOCK_BITS, total // (4 * workers)))
+    edges = [0, *range(first, total, step), total]
+    return list(zip(edges, edges[1:]))
 
 
 def _measure(ctx: FieldContext, k: int, seed: int | None, total: int, jobs: int,
              rows: RowSink | None) -> Counter:
-    """(lc, period) histogram of filters 0..total-1, split across at most
-    min(jobs, total, cpu count) worker processes; the split never changes it."""
-    workers = min(jobs, total, os.cpu_count() or 1)
-    step = (total + workers - 1) // workers
-    chunks = [(ctx, k, seed, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if len(chunks) == 1:
-        return _measure_chunk(chunks[0], rows)
+    """(lc, period) histogram of filters 0..total-1 from min(jobs, chunks, cpu count)
+    processes; rows, if given, gets each filter's record as its chunk comes back."""
+    chunks = [(ctx, k, seed, lo, hi) for lo, hi in _chunks(ctx, k, seed, total, jobs)]
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    n, target = ctx.order, nk(ctx.L, k)
     hist = Counter()
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for part, held in pool.map(partial(_held_chunk, keep=rows is not None), chunks):
-            hist.update(part)
-            for rec in held:
-                rows(rec)
+    try:
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            results = pool.map(_measure_chunk, chunks) if pool else map(_measure_chunk, chunks)
+            for (*_, lo, hi), cells in zip(chunks, results):
+                values, counts = np.unique(cells, return_counts=True)
+                hist.update({divmod(v, n + 1): m for v, m in zip(values.tolist(), counts.tolist())})
+                if rows is not None:
+                    for f, cell in zip(_filters(ctx.L, k, seed, lo, hi), cells.tolist()):
+                        lc, per = divmod(cell, n + 1)
+                        rows(TrialRecord(format_anf(f), lc, per, int(lc == target)))
+    finally:
+        _lab.cache_clear()
     return hist
 
 

@@ -29,7 +29,7 @@ from math import comb
 from mpmath import mp, mpf
 
 from .anf import count_filters
-from .cosets import cardinal_counts, nk
+from .cosets import MAX_REPORT_KL, cardinal_counts, nk  # noqa: F401  (the report cap, re-exported)
 
 # Exact big-integer mode while log2(nfk) stays within this many bits.
 EXACT_NK_BIT_CAP = 1 << 20
@@ -39,12 +39,6 @@ _GUARD_DIGITS = 10
 # Largest `digits` a report accepts: 10 000 digits take ~0.25 s at
 # L = 257, k = 128, while 100 000 take ~27 s even at L = 5.
 MAX_DIGITS = 10_000
-
-# Largest k * L a report accepts.  cardinal_counts' exact binomial sums cost
-# about k * L: 2.0 s at L = 10^5, k = 5 * 10^4 and 3.6 s at k = L = 10^5,
-# the slowest the cap admits, while L = 2 * 10^5, k = 10^5 takes 7.5 s.  At
-# k = 1 it keeps L <= 10^10, so trial division of L stops by sqrt(L) <= 10^5.
-MAX_REPORT_KL = 10 ** 10
 
 
 def _ln_one_minus_pow2(d: int) -> mpf:
@@ -65,11 +59,12 @@ def nfm(L: int, k: int) -> int:
     while the numbers fit the exact-mode budget; pr_report handles the rest
     in the log domain.
     """
-    if nk(L, k) > EXACT_NK_BIT_CAP:
+    counts = cardinal_counts(L, k)
+    if sum(d * c for d, c in counts.items()) > EXACT_NK_BIT_CAP:  # the total is nk(L, k)
         raise ValueError(
             f"nfm(L={L}, k={k}) needs about 2^{nk(L, k)} bits; "
             "use pr_report's log-domain mode instead")
-    return _nfm(cardinal_counts(L, k))
+    return _nfm(counts)
 
 
 def _nfm(counts: dict[int, int]) -> int:
@@ -138,9 +133,7 @@ def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
     """
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in [1, {MAX_DIGITS}], got {digits}")
-    if k * L > MAX_REPORT_KL:
-        raise ValueError(f"k*L = {k}*{L} exceeds the report cap of {MAX_REPORT_KL}")
-    counts = cardinal_counts(L, k)
+    counts = cardinal_counts(L, k)  # refuses k * L past cosets.MAX_REPORT_KL
     # nk(L, k) is the cardinals' total, which cardinal_counts checked against
     # the binomial sum; summing that again costs as much as the rest at L = 10^5
     nk_value = sum(d * c for d, c in counts.items())

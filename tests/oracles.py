@@ -6,8 +6,9 @@ recurrence and the LFSR replay run on plain bit lists, the trace and
 spectral references work on coefficient lists rather than bitmasks, and
 primitivity is the order of x computed by square-and-multiply against a
 trial-division factorization of 2^L - 1, where the package steps the powers
-of x until they return to 1, and ln(1 - 2^-d) is a log or a summed power
-series, where the package calls mpmath's log1p.
+of x until they return to 1, ln(1 - 2^-d) is a log or a summed power
+series, where the package calls mpmath's log1p, and canonical ANF text
+sorts tap tuples, where the package sorts one integer key per monomial.
 """
 from __future__ import annotations
 
@@ -259,3 +260,14 @@ def ln_one_minus_pow2_series(d: int) -> mpf:
         total -= mp.ldexp(1, -j * d) / j
         j += 1
     return total
+
+
+def sorted_tap_lists(masks) -> list[list[int]]:
+    """Tap lists of monomial bitmasks: taps ascending, monomials by (size, taps)."""
+    monos = [tuple(t for t in range(m.bit_length()) if m >> t & 1) for m in masks]
+    return [list(m) for m in sorted(monos, key=lambda m: (len(m), m))]
+
+
+def format_anf_reference(masks) -> str:
+    """Canonical ANF text of monomial bitmasks, by sorting their tap tuples."""
+    return " + ".join("*".join(f"x{t}" for t in taps) for taps in sorted_tap_lists(masks))

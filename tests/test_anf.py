@@ -13,6 +13,8 @@ from filtropt.anf import (AnfParseError, _decode_selector, filter_from_monomial_
                           selectable_masks)
 from filtropt.complexity import berlekamp_massey_packed, bits_to_int
 
+from oracles import format_anf_reference, sorted_tap_lists
+
 
 def F(L, *monomials):
     return filter_from_monomial_lists(L, [list(m) for m in monomials])
@@ -230,7 +232,7 @@ def test_format_is_canonical():
 
 def test_json_monomial_lists_round_trip():
     f = parse_anf("x0 + x1*x3", 5)
-    lists = [list(m) for m in f.sorted_monomials()]
+    lists = sorted_tap_lists(f.masks)
     assert lists == [[0], [1, 3]]
     assert filter_from_monomial_lists(5, lists) == f
 
@@ -262,7 +264,7 @@ def filters(draw):
 @given(filters(), st.randoms(use_true_random=False))
 def test_text_and_json_round_trips_ignore_order(f, rng):
     assert parse_anf(format_anf(f), f.L) == f
-    lists = json.loads(json.dumps([list(m) for m in f.sorted_monomials()]))
+    lists = json.loads(json.dumps(sorted_tap_lists(f.masks)))
     assert filter_from_monomial_lists(f.L, lists) == f
     for taps in lists:
         rng.shuffle(taps)
@@ -270,3 +272,15 @@ def test_text_and_json_round_trips_ignore_order(f, rng):
     assert filter_from_monomial_lists(f.L, lists) == f
     text = " + ".join("*".join(f"x{t}" for t in taps) for taps in lists)
     assert parse_anf(text, f.L) == f
+
+
+@given(filters())
+def test_format_anf_matches_reference(f):
+    assert format_anf(f) == format_anf_reference(f.masks)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_format_anf_matches_reference_on_dense_draws(seed):
+    # about 2900 monomials of sizes 1..7 in each L=13 k=7 draw
+    f = random_filter(13, 7, random.Random(seed))
+    assert format_anf(f) == format_anf_reference(f.masks)

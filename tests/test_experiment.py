@@ -2,6 +2,7 @@ import dataclasses
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from filtropt import (compare, context_for, count_filters, enumerate_filters,
@@ -88,10 +89,12 @@ def test_census_cap():
 
 
 def test_census_jobs_invariance():
+    # (5, 2) is 16 census blocks, so jobs=4 starts real worker processes
     a_rows, b_rows = [], []
-    a = run_exhaustive(4, 2, rows=a_rows.append)
-    b = run_exhaustive(4, 2, jobs=4, rows=b_rows.append)
+    a = run_exhaustive(5, 2, rows=a_rows.append)
+    b = run_exhaustive(5, 2, jobs=4, rows=b_rows.append)
     assert (a.hits_max_lc, a.hits_max_period) == (b.hits_max_lc, b.hits_max_period)
+    assert a.histogram == b.histogram
     assert [r.filter_anf for r in a_rows] == [r.filter_anf for r in b_rows]
 
 
@@ -199,14 +202,49 @@ def test_jobs_clamped_to_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(_FakePool, "sizes", [])
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
     serial, pooled = [], []
-    run_exhaustive(4, 2, rows=serial.append)
-    run_exhaustive(4, 2, jobs=8, rows=pooled.append)
+    run_exhaustive(5, 2, rows=serial.append)  # 16 census blocks: 4 workers
+    run_exhaustive(5, 2, jobs=8, rows=pooled.append)
     assert pooled == serial
-    run_monte_carlo(5, 2, 3, 1, jobs=8)
+    run_monte_carlo(5, 2, 3, 1, jobs=8)  # 3 one-draw chunks: 3 workers
     assert _FakePool.sizes == [4, 3]
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: None)
     run_monte_carlo(5, 2, 3, 1, jobs=8)
     assert _FakePool.sizes == [4, 3]
+
+
+def _record_chunks(monkeypatch) -> list[tuple[int, int]]:
+    """The (lo, hi) of every chunk measured from now on, in the order measured."""
+    chunks = []
+    measure_chunk = experiment._measure_chunk
+    monkeypatch.setattr(experiment, "_measure_chunk",
+                        lambda args: chunks.append(args[3:5]) or measure_chunk(args))
+    return chunks
+
+
+def test_monte_carlo_chunks_leave_every_worker_some(monkeypatch):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    chunks = _record_chunks(monkeypatch)
+    run_monte_carlo(5, 2, 400, 3, jobs=2)
+    assert len(chunks) >= 8 and _FakePool.sizes == [2]
+    assert [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
+    assert (chunks[0][0], chunks[-1][1]) == (0, 400)
+
+
+@pytest.mark.parametrize("L, first", [(5, 2016), (6, 1984)])
+def test_each_census_chunk_is_one_census_block(monkeypatch, L, first):
+    # census index i is selector i + 2^L here, and a block is 2^11 selectors
+    chunks = _record_chunks(monkeypatch)
+    blocks = []
+    monkeypatch.setattr(_SequenceLab, "measure_block", lambda self, z: blocks.append(len(z))
+                        or (np.zeros(len(z), np.int64),) * 2)
+    run_exhaustive(L, 2)
+    assert blocks == [hi - lo for lo, hi in chunks]
+    assert chunks[0] == (0, first) and chunks[-1][1] == count_filters(L, 2)
+    assert all((lo + (1 << L)) % (1 << experiment.CENSUS_BLOCK_BITS) == 0
+               for lo, _ in chunks[1:])
+    assert [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
 
 
 def test_max_lc_implies_max_period_per_trial():
@@ -282,13 +320,17 @@ def test_trial_seed_mixing():
 @pytest.mark.parametrize("L, k", [(L, k) for L in range(2, 6) for k in range(1, L + 1)
                                   if count_filters(L, k) <= ENUMERATION_CAP])
 def test_census_outputs_match_per_filter_producer(L, k):
-    lab = _SequenceLab(context_for(L))
+    ctx = context_for(L)
+    lab = _SequenceLab(ctx)
     total = count_filters(L, k)
     want = [lab.filter_period_packed(f) for f in enumerate_filters(L, k)]
-    for lo, hi in {(0, total), (total // 3, total - 1), (5, min(total, 2100))}:
-        blocks = list(lab.census_outputs(k, lo, hi))
-        assert all(1 <= len(z) <= 1 << experiment.CENSUS_BLOCK_BITS for z in blocks)
-        assert [int(v) for z in blocks for v in z] == want[lo:hi]
+    chunks = experiment._chunks(ctx, k, None, total, 1)
+    blocks = [lab.census_block(k, lo, hi) for lo, hi in chunks]
+    assert all(1 <= len(z) <= 1 << experiment.CENSUS_BLOCK_BITS for z in blocks)
+    assert [int(v) for z in blocks for v in z] == want
+    # a part of a block
+    lo, hi = chunks[-1]
+    assert [int(v) for v in lab.census_block(k, lo + 1, hi - 1)] == want[lo + 1:hi - 1]
 
 
 def test_census_past_one_word_measures_each_filter():
@@ -305,19 +347,16 @@ def test_census_past_one_word_measures_each_filter():
 
 
 def test_census_split_identity_l5(monkeypatch):
-    # two workers split 32736 filters at 16368, inside a census block
+    # 32736 filters in 16 census blocks, the first 2016 long; the same cuts
+    # at any worker count
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
-    chunks = []
-    measure_chunk = experiment._measure_chunk
-    monkeypatch.setattr(experiment, "_measure_chunk",
-                        lambda args, rows=None: chunks.append(args[3:5])
-                        or measure_chunk(args, rows))
+    chunks = _record_chunks(monkeypatch)
     serial_rows, pooled_rows = [], []
     serial = run_exhaustive(5, 2, rows=serial_rows.append)
     pooled = run_exhaustive(5, 2, jobs=2, rows=pooled_rows.append)
-    assert chunks == [(0, 32736), (0, 16368), (16368, 32736)]
-    assert 16368 % (1 << experiment.CENSUS_BLOCK_BITS)
+    cuts = [(0, 2016)] + [(lo, lo + 2048) for lo in range(2016, 32736, 2048)]
+    assert chunks == cuts + cuts and len(cuts) == 16
     assert pooled == serial
     assert pooled_rows == serial_rows and len(serial_rows) == 32736
     assert (serial.hits_max_lc, serial.hits_max_period) == (nfm(5, 2), 32736)
@@ -345,4 +384,4 @@ def test_census_working_memory_is_bounded():
 
 def test_census_outputs_of_an_empty_range():
     lab = _SequenceLab(context_for(4))
-    assert list(lab.census_outputs(2, 7, 7)) == []
+    assert len(lab.census_block(2, 7, 7)) == 0

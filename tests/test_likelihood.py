@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb
 
@@ -5,7 +6,8 @@ import pytest
 from mpmath import mp, mpf
 
 from filtropt import cardinal_counts, count_filters, nfm, nk, pr_exact, pr_report
-from filtropt.likelihood import EXACT_NK_BIT_CAP, _ln_one_minus_pow2, ln_probability_parts
+from filtropt.likelihood import (EXACT_NK_BIT_CAP, MAX_REPORT_KL, _ln_one_minus_pow2,
+                                  ln_probability_parts)
 from oracles import ln_one_minus_pow2_series
 
 
@@ -19,6 +21,18 @@ def test_nfm_examples():
 def test_prime_length_collapse(L):
     k = (L + 1) // 2
     assert nfm(L, k) == ((1 << L) - 1) ** (nk(L, k) // L)
+
+
+@pytest.mark.parametrize("entry", [nfm, pr_exact, ln_probability_parts, cardinal_counts, nk])
+def test_analytic_entry_points_refuse_past_the_report_cap(entry):
+    # each ran for longer than 10 s in the binomial sums before the cap moved
+    # into cosets
+    L, k = 10 ** 6, 5 * 10 ** 5
+    assert k * L > MAX_REPORT_KL
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="report cap"):
+        entry(L, k)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_nfm_rejects_oversized_parameters():
