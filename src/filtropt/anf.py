@@ -20,9 +20,9 @@ from typing import Iterable, Iterator
 
 from .field import FieldContext
 from .lfsr import window_table
+from .limits import ENUMERATION_CAP, check_order
 
-ENUMERATION_CAP = 1 << 24  # most filters one run measures: a census, or sample --trials
-_TAP_RE = re.compile(r"^x(\d+)$")
+_TAP_RE = re.compile(r"^x([0-9]+)$")  # \d would take any Unicode digit
 
 
 class AnfParseError(ValueError):
@@ -78,14 +78,13 @@ def filter_sequence(f: FilterFunction, ctx: FieldContext, initial_state: int = 1
 
 def count_filters(L: int, k: int) -> int:
     """Exact size of the order-k filter space: (2^C(L,k) - 1) * 2^C(L,k-1) * ... * 2^C(L,1)."""
-    if not 1 <= k <= L:
-        raise ValueError(f"order k={k} outside [1, {L}]")
+    check_order(L, k)
     lower = sum(comb(L, d) for d in range(1, k))
     return ((1 << comb(L, k)) - 1) << lower
 
 
 def census_size(L: int, k: int) -> int:
-    """count_filters(L, k), refused past ENUMERATION_CAP: the one cap on a census."""
+    """count_filters(L, k), refused past limits.ENUMERATION_CAP: the one cap on a census."""
     total = count_filters(L, k)
     if total > ENUMERATION_CAP:
         # count written as a power of two: it can be too big even to print

@@ -21,12 +21,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import anf, complexity, cosets, experiment, likelihood, polytable, spectral
-
-
-# Longest --bits input, in characters, whitespace included.  Berlekamp-Massey
-# is quadratic in the length: 2^17 random bits take 0.7 s and 2^18 bits 3.7 s
-# on one Xeon core.
-LC_MAX_BITS = 1 << 18
+from .limits import EXACT_NK_BIT_CAP, LC_MAX_BITS
 
 
 class CliError(ValueError):
@@ -36,10 +31,6 @@ class CliError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep 2 for comparisons
         raise CliError(message)
-
-
-def _big(n) -> str:
-    return str(n)
 
 
 def _dec(x, digits: int = 15) -> str:
@@ -164,20 +155,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_prob(args: argparse.Namespace) -> int:
-    if not 1 <= args.order <= args.length:
-        raise CliError(f"--order must be in [1, {args.length}]")
     report = likelihood.pr_report(args.length, args.order, digits=args.digits)
     if args.exact and report.mode != "exact":
         raise CliError(
             f"--exact: nk(L,k) = {report.nk_value} exceeds the exact-mode budget "
-            f"of {likelihood.EXACT_NK_BIT_CAP} bits")
+            f"of {EXACT_NK_BIT_CAP} bits")
     payload = {
         "length": report.L,
         "order": report.k,
-        "n_cosets": _big(report.n_cosets),
-        "nk": _big(report.nk_value),
-        "nfm": None if report.nfm is None else _big(report.nfm),
-        "nfk": None if report.nfk is None else _big(report.nfk),
+        "n_cosets": str(report.n_cosets),
+        "nk": str(report.nk_value),
+        "nfm": None if report.nfm is None else str(report.nfm),
+        "nfk": None if report.nfk is None else str(report.nfk),
         "pr_exact": _fraction(report.pr_exact),
         "pr_float": _dec(report.pr_float, report.digits),
         "ln_pr": _dec(report.ln_pr, report.digits),
@@ -198,11 +187,11 @@ def _summary_payload(summary, verdict) -> dict:
     return {"length": summary.L, "order": summary.k, **fields, "verdict": vars(verdict)}
 
 
-def _run_experiment(args: argparse.Namespace, exhaustive: bool) -> int:
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """enumerate (the census) or sample (seeded draws)."""
     ctx = _context(args)
     k = args.order
-    if not 1 <= k <= ctx.L:
-        raise CliError(f"--order must be in [1, {ctx.L}]")
+    exhaustive = args.subcommand == "enumerate"
     trials, seed = (None, None) if exhaustive else (args.trials, args.seed)
     experiment.check_run(ctx.L, k, args.jobs, trials, seed)  # refuse before the CSV exists
     with ExitStack() as stack:
@@ -220,14 +209,6 @@ def _run_experiment(args: argparse.Namespace, exhaustive: bool) -> int:
     verdict = experiment.compare(summary, likelihood.pr_report(ctx.L, k))
     _emit(_summary_payload(summary, verdict), args)
     return 0 if verdict.ok else 2
-
-
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    return _run_experiment(args, exhaustive=True)
-
-
-def cmd_sample(args: argparse.Namespace) -> int:
-    return _run_experiment(args, exhaustive=False)
 
 
 def build_parser() -> _Parser:
@@ -294,8 +275,8 @@ _HANDLERS = {
     "lc": cmd_lc,
     "analyze": cmd_analyze,
     "prob": cmd_prob,
-    "enumerate": cmd_enumerate,
-    "sample": cmd_sample,
+    "enumerate": cmd_experiment,
+    "sample": cmd_experiment,
 }
 
 
@@ -307,8 +288,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "length", None) is not None and args.length < 2:
-            raise CliError("--length must be at least 2")
         return _HANDLERS[args.subcommand](args)
     except (ValueError, OSError) as exc:  # CliError included; OSError: --out/--csv
         print(f"error: {exc}", file=sys.stderr)

@@ -18,14 +18,7 @@ from functools import lru_cache
 from math import gcd
 
 from .field import _prime_factors
-
-ENUMERATION_MAX_L = 20
-
-# Largest k * L a report accepts.  cardinal_counts' exact binomial sums cost
-# about k * L: 2.0 s at L = 10^5, k = 5 * 10^4 and 3.6 s at k = L = 10^5,
-# the slowest the cap admits, while L = 2 * 10^5, k = 10^5 takes 7.5 s.  At
-# k = 1 it keeps L <= 10^10, so trial division of L stops by sqrt(L) <= 10^5.
-MAX_REPORT_KL = 10 ** 10
+from .limits import ENUMERATION_MAX_L, check_order, check_report
 
 
 @dataclass(frozen=True)
@@ -85,8 +78,7 @@ def cosets_up_to_weight(L: int, k: int) -> list[CyclotomicCoset]:
 
     Includes the weight-L constant coset exactly when k = L.
     """
-    if not 1 <= k <= L:
-        raise ValueError(f"weight bound k={k} outside [1, {L}]")
+    check_order(L, k)
     out = [c for c in _all_cosets(L) if c.weight <= k]
     if k == L:
         out.append(constant_coset(L))
@@ -104,10 +96,7 @@ def _binomial_sum(n: int, top: int) -> int:
 
 def nk(L: int, k: int) -> int:
     """C(L,1) + ... + C(L,k): the maximum linear complexity at order k."""
-    if not 1 <= k <= L:
-        raise ValueError(f"order k={k} outside [1, {L}]")
-    if k * L > MAX_REPORT_KL:
-        raise ValueError(f"k*L = {k}*{L} exceeds the report cap of {MAX_REPORT_KL}")
+    check_report(L, k)
     return _binomial_sum(L, k)
 
 
@@ -143,10 +132,7 @@ def cardinal_counts(L: int, k: int) -> dict[int, int]:
     Works for any L, including ones where 2^L - 1 is far beyond enumeration
     range.
     """
-    if not 1 <= k <= L:
-        raise ValueError(f"weight bound k={k} outside [1, {L}]")
-    if k * L > MAX_REPORT_KL:  # before any factoring or binomial sum
-        raise ValueError(f"k*L = {k}*{L} exceeds the report cap of {MAX_REPORT_KL}")
+    check_report(L, k)
     divs = _divisors(L)
     fixed = {d: _binomial_sum(d, min(d, k // (L // d))) for d in divs}
 

@@ -5,17 +5,18 @@ linear complexity and its exact minimal period.  A run tallies one
 histogram of (lc, period) pairs, and reads off it how many filters reach
 the ceiling nk(L, k) and the full period 2^L - 1.
 
-A run is cut into chunks the same way for any worker count, and a chunk
-returns numbers only, lc * (N + 1) + period per filter, which the parent
-process adds to the histogram.  A census of periods N <= WORD_MAX_PERIOD
-(L <= 6) is cut into census blocks of at most 2^CENSUS_BLOCK_BITS filters,
-whose outputs come from xor-ing the monomial vectors by subset doubling and
-are measured at once by the word kernels, one uint64 lane per filter; each
-block's first filter is measured again by the scalar kernels as a spot
-check.  A longer census, and Monte Carlo, measure chunks of at most
-2^CENSUS_BLOCK_BITS filters one at a time.  Monte Carlo seeds each trial's
-generator by blake2b over master seed and trial index, so both modes give
-bit-identical results for a given (L, k, seed, trials) at any worker count.
+A run is cut into chunks, and a chunk returns numbers only,
+lc * (N + 1) + period per filter, which the parent process adds to the
+histogram.  A census of periods N <= WORD_MAX_PERIOD (L <= 6) is cut into
+census blocks of at most 2^CENSUS_BLOCK_BITS filters, whose outputs come
+from xor-ing the monomial vectors by subset doubling and are measured at
+once by the word kernels, one uint64 lane per filter; each block's first
+filter is measured again by the scalar kernels as a spot check.  A longer
+census, and Monte Carlo, measure chunks of at most 2^CENSUS_BLOCK_BITS
+filters one at a time, more and smaller ones for more workers.  Monte
+Carlo seeds each trial's generator by blake2b over master seed and trial
+index, so both modes give bit-identical results for a given (L, k, seed,
+trials) at any worker count.
 
 A row sink, if given, gets each filter's TrialRecord in census or trial
 order from the parent process, which derives each chunk's filters again.
@@ -37,7 +38,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import polytable
-from .anf import (ENUMERATION_CAP, FilterFunction, _check_field, _decode_selector, census_size,
+from .anf import (FilterFunction, _check_field, _decode_selector, census_size,
                   enumerate_filters, format_anf, random_filter, selectable_masks)
 from .complexity import (WORD_MAX_PERIOD, min_period_packed, min_period_words,
                          periodic_lc_packed, periodic_lc_words)
@@ -45,10 +46,10 @@ from .cosets import nk
 from .field import FieldContext
 from .lfsr import window_table
 from .likelihood import LikelihoodReport, pr_exact
+from .limits import (CENSUS_BLOCK_BITS, ENUMERATION_CAP, SEED_LIMIT, VECTOR_CACHE_BYTES,
+                     check_order)
 
-SEED_LIMIT = 1 << 127  # trial_seed packs the master seed into 16 signed bytes
 DEFAULT_TRIALS = 20000
-CENSUS_BLOCK_BITS = 11  # a census block holds at most 2^11 filters: bounded working memory
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -106,8 +107,9 @@ class _SequenceLab:
     """The one producer of filter output: windows and monomial value vectors.
 
     A period of output is a packed int with z_n at bit n, the xor of one
-    cached value vector per monomial.  A monomial's vector is the AND of its
-    taps' vectors, since its value is the product of those window bits.
+    value vector per monomial.  A monomial's vector is the AND of its taps'
+    vectors, since its value is the product of those window bits; the first
+    limits.VECTOR_CACHE_BYTES of vectors built are cached.
     A census of word-sized periods takes the same xors a block of filters
     at a time (census_block) and measures each block at once
     (measure_block).
@@ -121,6 +123,7 @@ class _SequenceLab:
         self._taps = [int.from_bytes(np.packbits(windows >> t & 1, bitorder="little").tobytes(),
                                      "little") for t in range(ctx.L)]
         self._vectors: dict[int, int] = {}
+        self._vector_room = VECTOR_CACHE_BYTES // -(-self.period // 8)  # vectors it may keep
         self._tables: dict[int, np.ndarray] = {}  # census_block's, per order k
 
     def _vector(self, mask: int) -> int:
@@ -130,7 +133,8 @@ class _SequenceLab:
             for t, tap in enumerate(self._taps):
                 if mask >> t & 1:
                     vec &= tap
-            self._vectors[mask] = vec
+            if len(self._vectors) < self._vector_room:
+                self._vectors[mask] = vec
         return vec
 
     def filter_period_packed(self, f: FilterFunction) -> int:
@@ -278,9 +282,11 @@ def check_run(L: int, k: int, jobs: int, trials: int | None = None,
               seed: int | None = None) -> int:
     """Filters a run measures: the census if trials is None, else trials draws.
 
-    Refuses a census past anf.ENUMERATION_CAP, trials outside [1, that cap],
-    a seed outside [-2^127, 2^127) and jobs < 1, before any work starts.
+    Refuses a bad order, a census past limits.ENUMERATION_CAP, trials outside
+    [1, that cap], a seed outside [-2^127, 2^127) and jobs < 1, before any
+    work starts.
     """
+    check_order(L, k)
     if trials is None:
         trials = census_size(L, k)
     elif not 1 <= trials <= ENUMERATION_CAP:

@@ -72,13 +72,6 @@ def _check_period(z: int, period: int) -> None:
         raise ValueError(f"need one period of {period} bits packed into an int")
 
 
-def _check_length(L: int) -> None:
-    """The one cap on sequence work: 2 <= L <= DESK_MAX_L."""
-    if not 2 <= L <= DESK_MAX_L:
-        raise ValueError(f"sequence work is capped at 2 <= L <= {DESK_MAX_L}, got L={L} "
-                         f"(analytic reports remain available for any L)")
-
-
 class FieldContext:
     """A primitive modulus of degree L and the tables read off alpha's powers.
 
@@ -86,12 +79,14 @@ class FieldContext:
     returns to 1 after exactly 2^L - 1 steps.  exp_table holds those powers,
     trace_mask and the window table come from them.  Safe to share across
     threads/processes: every table is read-only, and a pickled context is
-    rebuilt (and re-verified) on arrival rather than shipped as writeable
-    copies.
+    rebuilt (and re-verified) by polytable.context_for on arrival, once per
+    process, rather than shipped as writeable copies.
     """
 
     def __init__(self, L: int, modulus: int):
-        _check_length(L)
+        if not 2 <= L <= DESK_MAX_L:  # the one cap on sequence work
+            raise ValueError(f"sequence work is capped at 2 <= L <= {DESK_MAX_L}, got L={L} "
+                             f"(analytic reports remain available for any L)")
         if modulus >> L != 1:
             raise ValueError(f"polynomial 0x{modulus:x} does not have degree {L}")
         self.L = L
@@ -127,7 +122,8 @@ class FieldContext:
         self._windows.flags.writeable = False
 
     def __reduce__(self):
-        return FieldContext, (self.L, self.modulus)
+        from .polytable import context_for  # polytable imports this module
+        return context_for, (self.L, self.modulus)
 
     def __repr__(self) -> str:
         return f"FieldContext(L={self.L}, modulus=0x{self.modulus:x})"

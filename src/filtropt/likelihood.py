@@ -29,16 +29,10 @@ from math import comb
 from mpmath import mp, mpf
 
 from .anf import count_filters
-from .cosets import MAX_REPORT_KL, cardinal_counts, nk  # noqa: F401  (the report cap, re-exported)
-
-# Exact big-integer mode while log2(nfk) stays within this many bits.
-EXACT_NK_BIT_CAP = 1 << 20
+from .cosets import cardinal_counts, nk
+from .limits import EXACT_NK_BIT_CAP, MAX_DIGITS
 
 _GUARD_DIGITS = 10
-
-# Largest `digits` a report accepts: 10 000 digits take ~0.25 s at
-# L = 257, k = 128, while 100 000 take ~27 s even at L = 5.
-MAX_DIGITS = 10_000
 
 
 def _ln_one_minus_pow2(d: int) -> mpf:
@@ -133,7 +127,7 @@ def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
     """
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in [1, {MAX_DIGITS}], got {digits}")
-    counts = cardinal_counts(L, k)  # refuses k * L past cosets.MAX_REPORT_KL
+    counts = cardinal_counts(L, k)  # refuses k * L past limits.MAX_REPORT_KL
     # nk(L, k) is the cardinals' total, which cardinal_counts checked against
     # the binomial sum; summing that again costs as much as the rest at L = 10^5
     nk_value = sum(d * c for d, c in counts.items())

@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+import time
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from filtropt import cli, field, polytable, spectral
+from filtropt import cli, limits, polytable, spectral
 
 
 def run(capsys, *argv):
@@ -106,7 +111,7 @@ def test_unknown_length_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (["analyze", "-L", str(field.DESK_MAX_L + 1), "--filter", "x0"], "capped"),
+    (["analyze", "-L", str(limits.DESK_MAX_L + 1), "--filter", "x0"], "capped"),
     (["analyze", "-L", "4", "--filter", "x0", "--state", "zz"], "--state"),
     (["analyze", "-L", "4", "--filter", "x0", "--poly", "1g"], "--poly"),
     (["sample", "-L", "5", "-k", "2", "--trials", "3", "--seed", str(1 << 127)], "seed"),
@@ -128,7 +133,7 @@ def test_unknown_length_rejected(capsys):
     (["analyze", "-L", "4", "--filter", "x0", "--state", "0"], "initial state"),
     (["analyze", "-L", "4", "--filter", "x0", "--state", "10"], "initial state"),
     (["lc", "--bits", "@/dev/zero"], "cap"),
-    (["lc", "--bits", "01" * (cli.LC_MAX_BITS // 2) + "1"], "cap"),
+    (["lc", "--bits", "01" * (limits.LC_MAX_BITS // 2) + "1"], "cap"),
     (["enumerate", "-L", "17", "-k", "1"], "capped"),
     (["sample", "-L", "17", "-k", "3", "--trials", "5"], "capped"),
     (["analyze", "-L", "17", "--poly", "20009", "--filter", "x0"], "capped"),
@@ -138,6 +143,14 @@ def test_unknown_length_rejected(capsys):
     (["prob", "-L", "1000000", "-k", "500000"], "report cap"),
     (["prob", "-L", "1000000000000000003", "-k", "1"], "report cap"),
     (["analyze", "-L", "5", "--filter", "x0", "--state", "20"], "got 0x20"),
+    (["analyze", "-L", "5", "--filter", "x\u0663"], "bad tap"),  # ARABIC-INDIC DIGIT THREE
+    (["analyze", "-L", "5", "--filter", "x\uff13"], "bad tap"),  # FULLWIDTH DIGIT THREE
+    (["prob", "-L", "1", "-k", "1"], "need 2 <= L and 1 <= k <= L, got L=1, k=1"),
+    (["prob", "-L", "7", "-k", "8"], "got L=7, k=8"),
+    (["cosets", "-L", "-4", "-k", "1"], "got L=-4, k=1"),
+    (["cosets", "-L", "5", "-k", "0"], "got L=5, k=0"),
+    (["enumerate", "-L", "4", "-k", "5"], "got L=4, k=5"),
+    (["sample", "-L", "5", "-k", "6", "--trials", "3"], "got L=5, k=6"),
 ])
 def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
@@ -145,6 +158,75 @@ def test_bad_input_exits_1_with_one_line(capsys, argv, needle):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err
+
+
+# Valid sizes stay tiny (L <= 5, trials <= 50), so no case does real work;
+# the bad ones are huge, negative or not integers at all, and each must trip
+# a check before any work starts.  None leaves the flag out.
+_BAD_SIZES = [None, "-2", "0", "1", "17", "21", "1000000", "10" * 9, str(2 ** 64),
+              str(-2 ** 63), "1.5", "abc", "", "0x10"]
+_SCHEMAS = {"cosets": "cosets", "lc": "lc", "analyze": "analyze", "prob": "prob",
+            "enumerate": "experiment", "sample": "experiment"}
+
+
+@st.composite
+def _argvs(draw, scratch):
+    cmd = draw(st.sampled_from(sorted(_SCHEMAS)))
+    argv = [cmd]
+
+    def opt(flag, valid, bad):
+        """flag and a value, a bad one one time in four."""
+        value = draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0 else valid))
+        if value is not None:
+            argv.extend([flag, value])
+
+    if cmd != "lc":
+        opt("-L", ["2", "3", "4", "5", "\u0663"], _BAD_SIZES)
+    if cmd not in ("lc", "analyze"):
+        opt("-k", ["1", "2", "3", "\uff13"], _BAD_SIZES)
+    if cmd == "lc":
+        opt("--bits", ["0110", " 1 0\n1"],
+            [None, "", "10a1", "\u0661\u0660", "@/dev/zero", f"@{scratch}",
+             f"@{scratch}/missing", "1" * (limits.LC_MAX_BITS + 1)])
+    if cmd == "analyze":
+        opt("--filter", ["x0", "x0 + x1*x2", "[[0], [1, 2]]"],
+            [None, "x\u0663", "x\uff13", "x9", "[1]", "", "[" * 100_000])
+        opt("--state", [None, "1", "3"], ["0", "zz", "-1", "1" * 40])
+    if cmd in ("analyze", "enumerate", "sample"):
+        opt("--poly", [None, None, "25"], ["1g", "0", "-5", "1" * 40])  # 0x25: L = 5
+    if cmd == "prob":
+        opt("--digits", [None, "5"], ["-1", "0", "100000", "abc"])
+    if cmd in ("enumerate", "sample"):
+        opt("--jobs", [None, "1", "2"], ["-1", "0"])
+        opt("--csv", [None, f"{scratch}/rows.csv"], [scratch, f"{scratch}/missing/rows.csv"])
+    if cmd == "sample":
+        opt("--trials", ["1", "50"],
+            ["-1", "0", str(limits.ENUMERATION_CAP + 1), "10" * 15, "x"])
+        opt("--seed", [None, "0", "-1"], [str(2 ** 127), "1.5"])
+    return argv
+
+
+def test_any_argv_exits_1_with_one_line_or_gives_valid_json():
+    with tempfile.TemporaryDirectory() as scratch:
+
+        @settings(max_examples=150, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(_argvs(scratch))
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert time.perf_counter() - start < 10, argv
+            if code == 1:
+                assert out.getvalue() == "", argv
+                assert err.getvalue().startswith("error:"), argv
+                assert err.getvalue().count("\n") == 1, argv
+            else:
+                assert code in (0, 2), (argv, err.getvalue())
+                validate(json.loads(out.getvalue()), f"{_SCHEMAS[argv[0]]}.schema.json")
+
+        check()
 
 
 def test_refused_census_measures_nothing(capsys, monkeypatch, tmp_path):
@@ -165,6 +247,14 @@ def test_refused_sample_writes_no_csv(capsys, tmp_path):
     code, out, err = run(capsys, "sample", "-L", "7", "-k", "3", "--trials", "16777217",
                          "--csv", str(path))
     assert code == 1 and "trials" in err
+    assert not path.exists()
+
+
+def test_sample_of_too_high_an_order_writes_no_csv(capsys, tmp_path):
+    path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sample", "-L", "5", "-k", "6", "--trials", "3",
+                         "--csv", str(path))
+    assert code == 1 and "got L=5, k=6" in err
     assert not path.exists()
 
 

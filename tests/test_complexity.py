@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from filtropt import (context_for, count_filters, enumerate_filters,
                       linear_complexity_periodic, min_period, random_filter, window_table)
-from filtropt.anf import ENUMERATION_CAP
 from filtropt.complexity import (berlekamp_massey_packed, bits_to_int, min_period_packed,
                                  min_period_words, periodic_lc_packed, periodic_lc_words)
 from filtropt.experiment import _SequenceLab
+from filtropt.limits import ENUMERATION_CAP
 
 from oracles import (berlekamp_massey_reference, brute_force_lfsr_length, lfsr_replays,
                      naive_min_period, reciprocal)

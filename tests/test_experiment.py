@@ -10,9 +10,9 @@ from filtropt import (compare, context_for, count_filters, enumerate_filters,
                       parse_anf, pr_report, random_filter, run_exhaustive,
                       run_monte_carlo, wilson_interval)
 from filtropt import cli, experiment
-from filtropt.anf import ENUMERATION_CAP
 from filtropt.complexity import bits_to_int
 from filtropt.experiment import TrialRecord, _SequenceLab, trial_seed
+from filtropt.limits import CENSUS_BLOCK_BITS, ENUMERATION_CAP
 
 
 def test_census_l3_k2():
@@ -164,6 +164,23 @@ def test_lab_matches_per_bit_producer(L):
             assert lab.filter_period_packed(f) == bits_to_int(want)
 
 
+def test_vector_cache_stays_within_its_bound(monkeypatch):
+    # room for 10 of the 16-byte L = 7 vectors; a k = 4 draw has ~50 monomials
+    unbounded = _SequenceLab(context_for(7))
+    monkeypatch.setattr(experiment, "VECTOR_CACHE_BYTES", 10 * 16)
+    bounded = _SequenceLab(context_for(7))
+    rng = random.Random(7)
+    for _ in range(20):
+        f = random_filter(7, 4, rng)
+        want = bits_to_int(filter_sequence(f, context_for(7)))
+        assert bounded.filter_period_packed(f) == unbounded.filter_period_packed(f) == want
+        assert len(bounded._vectors) <= 10
+    assert len(bounded._vectors) == 10 < len(unbounded._vectors)
+    capped = run_monte_carlo(7, 4, 200, 3)
+    monkeypatch.undo()
+    assert capped == run_monte_carlo(7, 4, 200, 3)
+
+
 def test_records_follow_non_default_poly():
     ctx = context_for(5, 0x29)
     assert ctx.modulus != context_for(5).modulus
@@ -242,7 +259,7 @@ def test_each_census_chunk_is_one_census_block(monkeypatch, L, first):
     run_exhaustive(L, 2)
     assert blocks == [hi - lo for lo, hi in chunks]
     assert chunks[0] == (0, first) and chunks[-1][1] == count_filters(L, 2)
-    assert all((lo + (1 << L)) % (1 << experiment.CENSUS_BLOCK_BITS) == 0
+    assert all((lo + (1 << L)) % (1 << CENSUS_BLOCK_BITS) == 0
                for lo, _ in chunks[1:])
     assert [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
 
@@ -326,7 +343,7 @@ def test_census_outputs_match_per_filter_producer(L, k):
     want = [lab.filter_period_packed(f) for f in enumerate_filters(L, k)]
     chunks = experiment._chunks(ctx, k, None, total, 1)
     blocks = [lab.census_block(k, lo, hi) for lo, hi in chunks]
-    assert all(1 <= len(z) <= 1 << experiment.CENSUS_BLOCK_BITS for z in blocks)
+    assert all(1 <= len(z) <= 1 << CENSUS_BLOCK_BITS for z in blocks)
     assert [int(v) for z in blocks for v in z] == want
     # a part of a block
     lo, hi = chunks[-1]

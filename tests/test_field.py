@@ -223,6 +223,9 @@ def test_pickled_context_rebuilds_read_only_tables():
     ctx.exp_table
     copy = pickle.loads(pickle.dumps(ctx))
     assert copy == ctx and copy is not ctx
+    # every chunk a worker receives carries the context: it is built once per process
+    assert pickle.loads(pickle.dumps(ctx)) is copy
+    assert pickle.loads(pickle.dumps(copy)) is copy
     assert len(pickle.dumps(ctx)) < 200
     for table in (window_table(copy), window_table(copy, 5), copy.exp_table, copy.log_table):
         assert not table.flags.writeable

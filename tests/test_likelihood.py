@@ -6,8 +6,8 @@ import pytest
 from mpmath import mp, mpf
 
 from filtropt import cardinal_counts, count_filters, nfm, nk, pr_exact, pr_report
-from filtropt.likelihood import (EXACT_NK_BIT_CAP, MAX_REPORT_KL, _ln_one_minus_pow2,
-                                  ln_probability_parts)
+from filtropt.likelihood import _ln_one_minus_pow2, ln_probability_parts
+from filtropt.limits import EXACT_NK_BIT_CAP, MAX_REPORT_KL
 from oracles import ln_one_minus_pow2_series
 
 
