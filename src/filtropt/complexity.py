@@ -1,33 +1,32 @@
 """Linear complexity and exact minimal period measurement.
 
-Berlekamp-Massey runs over GF(2) with the connection polynomial kept as an
-int bitmask (bit i = coefficient of x^i, constant term always set), which
-makes the discrepancy a single masked popcount per step.  The connection
-polynomial's degree can fall below the register length when the oldest tap
-of the minimal LFSR is zero (e.g. a prefix of leading zeros); lc is the
-register length, and the missing high taps are zero coefficients.
+The periodic measurements use no filter theory, and each is one algorithm
+in two forms: a scalar kernel on a packed int, and a word kernel that runs
+the same steps on a numpy uint64 lane per sequence, for the census blocks
+of periods of at most WORD_MAX_PERIOD bits.
 
-The periodic measurements use no filter theory:
-
-- periodic_lc_packed is N - deg gcd(x^N - 1, z(x)), where z(x) is the sum
+- Linear complexity is N - deg gcd(x^N - 1, z(x)), where z(x) is the sum
   of z_n x^n over one period of N bits (Ding, Xiao & Shan, The Stability
   Theory of Stream Ciphers, 1991): the generating function of the periodic
   sequence is z(x) / (1 - x^N), and in lowest terms its denominator
-  (x^N - 1) / gcd is the minimal connection polynomial.  The gcd is
-  field.poly_gcd, Euclid's algorithm on GF(2) polynomials held as ints.
-- min_period_packed descends from the length over its prime factors,
+  (x^N - 1) / gcd is the minimal connection polynomial.
+  periodic_lc_packed takes the gcd by Euclid's algorithm (field.poly_gcd),
+  periodic_lc_words by Stein's binary gcd, which needs only shifts, xors
+  and compares.
+- The minimal period descends from the length over its prime factors,
   dividing by p while the period is invariant under rotation by P/p: one
   rotation test per prime factor, counted with multiplicity, instead of one
-  per divisor.
+  per divisor (min_period_packed, min_period_words).
 
-The census measures whole blocks of short periods at once: for periods of
-at most WORD_MAX_PERIOD bits, one numpy uint64 lane per sequence,
-periodic_lc_words runs full Berlekamp-Massey over both copies of the period
-(2N bits, no early exit) in every lane together, and min_period_words makes
-the same prime-factor descent as rotation tests on the lanes.
-
-linear_complexity_periodic keeps full 2p-bit Berlekamp-Massey as the
-reference the gcd kernel is tested against; the two share no code.
+Berlekamp-Massey is for finite strings (the lc subcommand), with the
+connection polynomial kept as an int bitmask (bit i = coefficient of x^i,
+constant term always set), which makes the discrepancy a single masked
+popcount per step.  The connection polynomial's degree can fall below the
+register length when the oldest tap of the minimal LFSR is zero (e.g. a
+prefix of leading zeros); lc is the register length, and the missing high
+taps are zero coefficients.  linear_complexity_periodic runs it over two
+copies of a period, as the reference the gcd kernels are tested against;
+the two share no code.
 """
 from __future__ import annotations
 
@@ -37,9 +36,9 @@ import numpy as np
 
 from .field import _check_period, _prime_factors, poly_gcd
 
-# Longest period a word lane holds: BM's connection polynomial has degree at
-# most lc <= N, so N + 1 coefficient bits must fit in 64.
+# Longest period a word lane holds: the gcd starts from x^N + 1, N + 1 bits.
 WORD_MAX_PERIOD = 63
+_POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # exact bit lengths, unlike log2
 
 
 def bits_to_int(bits: Sequence[int]) -> int:
@@ -132,49 +131,32 @@ def _check_words(z: np.ndarray, period: int) -> None:
 def periodic_lc_words(z: np.ndarray, period: int) -> np.ndarray:
     """Linear complexity of each lane's periodic extension, as int64.
 
-    Berlekamp-Massey over two copies of the period in every lane at once,
-    branch-free: each step turns the discrepancy into 0/1 and the length
-    change into an all-ones/zero mask.  Every value a lane uses fits a word:
-    the complexity of any prefix is at most that of the whole sequence
-    (<= N <= 63), BM keeps deg c <= lc, and b << (n - m) has degree at most
-    the register length after the step that uses it; a shifted b that has
-    run past bit 63 is therefore not used before a length change replaces it.
-
-    Per lane: c is the connection polynomial, rev holds s_n, s_(n-1), ...
-    from bit 0 up, bs is b already shifted by n - m, and e = 2 lc - n - 1 is
-    negative exactly when a discrepancy lengthens the register.
+    The gcd of periodic_lc_packed by Stein's binary algorithm, in every lane
+    at once and branch-free.  a starts at x^N + 1 and b at z; a step swaps
+    them if b is odd and below a, xors a into an odd b, and halves b.  a
+    stays odd, so halving b keeps the gcd.  A step with b != 0 lowers
+    deg a + deg b, at most 2N - 1 at the start, by at least one, so 2N steps
+    leave b = 0 and a = gcd.  No value exceeds x^N + 1 < 2^64.
     """
     _check_words(z, period)
-    n = z.size
-    c = np.ones(n, np.uint64)
-    bs = np.full(n, 2, np.uint64)
-    rev = np.zeros(n, np.uint64)
-    e = np.full(n, -1, np.int64)
-    d = np.empty(n, np.uint64)
-    g = np.empty(n, np.int64)
-    x = np.empty(n, np.uint64)
-    y = np.empty(n, np.uint64)
-    gu, one = g.view(np.uint64), np.uint64(1)
-    for step in range(2 * period):
-        np.right_shift(z, np.uint64(step % period), out=x)
-        np.bitwise_and(x, one, out=x)
-        np.left_shift(rev, one, out=rev)
-        np.bitwise_or(rev, x, out=rev)
-        np.bitwise_and(c, rev, out=x)
-        np.bitwise_count(x, out=d)
-        np.bitwise_and(d, one, out=d)           # 1 on a discrepancy, else 0
-        np.multiply(bs, d, out=y)               # c ^= b << (n - m) on a discrepancy
-        np.right_shift(e, 63, out=g)
-        np.multiply(gu, d, out=gu)              # all ones where the register lengthens
-        np.bitwise_xor(bs, c, out=x)            # b = old c there
-        np.bitwise_and(x, gu, out=x)
-        np.bitwise_xor(bs, x, out=bs)
-        np.left_shift(bs, one, out=bs)
-        np.bitwise_xor(c, y, out=c)
-        np.bitwise_xor(e, g, out=e)             # lc -> n + 1 - lc negates e ...
-        np.subtract(e, g, out=e)
-        np.subtract(e, 1, out=e)                # ... and each step lowers it by one
-    return (e + 2 * period + 1) >> 1
+    a = np.full(z.size, (1 << period) | 1, np.uint64)
+    b = z.copy()
+    odd, swap, t = (np.empty(z.size, np.uint64) for _ in range(3))
+    one = np.uint64(1)
+    for _ in range(2 * period):
+        np.bitwise_and(b, one, out=odd)
+        np.less(b, a, out=swap)
+        np.bitwise_and(swap, odd, out=swap)
+        np.negative(swap, out=swap)             # all ones where b is odd and below a
+        np.bitwise_xor(a, b, out=t)
+        np.bitwise_and(t, swap, out=t)
+        np.bitwise_xor(a, t, out=a)
+        np.bitwise_xor(b, t, out=b)
+        np.negative(odd, out=odd)               # all ones where b is odd
+        np.bitwise_and(a, odd, out=t)
+        np.bitwise_xor(b, t, out=b)
+        np.right_shift(b, one, out=b)
+    return period + 1 - np.searchsorted(_POWERS, a, side="right")
 
 
 def min_period_words(z: np.ndarray, period: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -150,7 +150,8 @@ class _SequenceLab:
         return periodic_lc_packed(z, self.period), min_period_packed(z, self.period)
 
     def census_block(self, k: int, start: int, stop: int) -> np.ndarray:
-        """Output periods of census filters start..stop-1, all in one census block.
+        """Output periods of census filters start..stop-1, all in one census block
+        (a range that leaves it is refused).
 
         Census index i is selector s = i + 2^n_low (anf.selectable_masks), and
         its output is the xor of the vectors of the selector's set bits.  A
@@ -168,6 +169,9 @@ class _SequenceLab:
         table = self._tables[k]
         first, last = start + (1 << n_low), stop + (1 << n_low)
         base = first & -len(table)
+        if not first <= last <= base + len(table):
+            raise ValueError(f"census filters {start}..{stop - 1} leave census block "
+                             f"{base // len(table)}")
         head = 0
         for mask in _decode_selector(pool, base):
             head ^= self._vector(mask)
@@ -243,17 +247,29 @@ def _chunks(ctx: FieldContext, k: int, seed: int | None, total: int,
     return list(zip(edges, edges[1:]))
 
 
+def _in_order(pool: ProcessPoolExecutor, chunks: list, ahead: int) -> Iterator[np.ndarray]:
+    """_measure_chunk of each chunk in order, with at most `ahead` submitted and unread."""
+    pending: deque = deque()
+    for chunk in chunks:
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_measure_chunk, chunk))
+    yield from (future.result() for future in pending)
+
+
 def _measure(ctx: FieldContext, k: int, seed: int | None, total: int, jobs: int,
              rows: RowSink | None) -> Counter:
     """(lc, period) histogram of filters 0..total-1 from min(jobs, chunks, cpu count)
-    processes; rows, if given, gets each filter's record as its chunk comes back."""
+    processes, which run at most two chunks per process ahead of the parent; rows,
+    if given, gets each filter's record as its chunk comes back."""
     chunks = [(ctx, k, seed, lo, hi) for lo, hi in _chunks(ctx, k, seed, total, jobs)]
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     n, target = ctx.order, nk(ctx.L, k)
     hist = Counter()
     try:
         with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            results = pool.map(_measure_chunk, chunks) if pool else map(_measure_chunk, chunks)
+            results = (_in_order(pool, chunks, 2 * workers) if pool
+                       else map(_measure_chunk, chunks))
             for (*_, lo, hi), cells in zip(chunks, results):
                 values, counts = np.unique(cells, return_counts=True)
                 hist.update({divmod(v, n + 1): m for v, m in zip(values.tolist(), counts.tolist())})

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .field import DESK_MAX_L  # noqa: F401  (re-exported)
 
 # Most filters one run measures, a census or sample --trials: the census of
-# 2^21 filters at L = 6, k = 2 takes 4.5 s.
+# 2^21 filters at L = 6, k = 2 takes 2.5 s.
 ENUMERATION_CAP = 1 << 24
 # Filters in one census block or Monte Carlo chunk: 16 KB of uint64 lanes.
 CENSUS_BLOCK_BITS = 11

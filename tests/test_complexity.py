@@ -211,6 +211,7 @@ def _assert_words_match_scalar(zs, n):
     assert lcs.dtype == periods.dtype == np.int64
     assert lcs.tolist() == [periodic_lc_packed(v, n) for v in zs]
     assert periods.tolist() == [min_period_packed(v, n) for v in zs]
+    return lcs.tolist()
 
 
 @pytest.mark.parametrize("L, k", [(L, k) for L in range(2, 6) for k in range(1, L + 1)
@@ -218,7 +219,8 @@ def _assert_words_match_scalar(zs, n):
 def test_words_match_scalar_on_every_census_filter(L, k):
     lab = _SequenceLab(context_for(L))
     zs = [lab.filter_period_packed(f) for f in enumerate_filters(L, k)]
-    _assert_words_match_scalar(zs, lab.period)
+    lcs = _assert_words_match_scalar(zs, lab.period)
+    assert lcs == [linear_complexity_periodic(_bits(z, lab.period)) for z in zs]
 
 
 def test_words_match_scalar_on_sampled_l6_filters():

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -197,12 +198,16 @@ def test_records_follow_non_default_poly():
 
 
 class _FakePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the most calls
+    submitted and not yet read, and runs each call in-process when it is read."""
 
     sizes: list[int] = []
+    most_unread: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.most_unread.append(0)
+        self.unread = 0
 
     def __enter__(self):
         return self
@@ -210,8 +215,14 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        self.unread += 1
+        self.most_unread[-1] = max(self.most_unread[-1], self.unread)
+        return types.SimpleNamespace(result=lambda: self._read(fn, args))
+
+    def _read(self, fn, args):
+        self.unread -= 1
+        return fn(*args)
 
 
 def test_jobs_clamped_to_chunks_and_cpus(monkeypatch):
@@ -227,6 +238,19 @@ def test_jobs_clamped_to_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: None)
     run_monte_carlo(5, 2, 3, 1, jobs=8)
     assert _FakePool.sizes == [4, 3]
+
+
+def test_workers_run_at_most_two_chunks_each_ahead(monkeypatch):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(_FakePool, "most_unread", [])
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    for run in (lambda **kw: run_exhaustive(5, 2, **kw),  # 16 census blocks
+                lambda **kw: run_monte_carlo(5, 2, 400, 3, **kw)):  # 8 or more draws
+        serial, pooled = [], []
+        assert run(jobs=2, rows=pooled.append) == run(rows=serial.append)
+        assert pooled == serial
+    assert _FakePool.sizes == [2, 2] and _FakePool.most_unread == [4, 4]
 
 
 def _record_chunks(monkeypatch) -> list[tuple[int, int]]:
@@ -402,3 +426,11 @@ def test_census_working_memory_is_bounded():
 def test_census_outputs_of_an_empty_range():
     lab = _SequenceLab(context_for(4))
     assert len(lab.census_block(2, 7, 7)) == 0
+
+
+@pytest.mark.parametrize("start, stop", [(0, 3000), (2000, 2100)])
+def test_census_block_refuses_a_range_that_leaves_it(start, stop):
+    # at L = 5 census index i is selector i + 32, and block 0 is selectors 0..2047
+    lab = _SequenceLab(context_for(5))
+    with pytest.raises(ValueError, match="census block 0"):
+        lab.census_block(2, start, stop)
