@@ -12,9 +12,8 @@ maximum complexity nk(L, k) and full period 2^L - 1.
 from .anf import (FilterFunction, count_filters, enumerate_filters, evaluate,
                   filter_sequence, format_anf, parse_anf, random_filter)
 from .complexity import linear_complexity_periodic, min_period
-from .cosets import (CyclotomicCoset, cardinal_counts, coset_of, coset_period,
-                     cosets_up_to_weight, nk)
-from .field import FieldContext, FieldElement
+from .cosets import CyclotomicCoset, cardinal_counts, coset_period, cosets_up_to_weight, nk
+from .field import FieldContext
 from .lfsr import window_table
 from .likelihood import LikelihoodReport, ln_probability_parts, nfm, pr_exact, pr_report
 from .polytable import context_for
@@ -26,11 +25,11 @@ from .experiment import (ExperimentSummary, TrialRecord, Verdict, compare,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldContext", "FieldElement",
+    "FieldContext",
     "window_table",
     "FilterFunction", "evaluate", "filter_sequence", "count_filters",
     "random_filter", "enumerate_filters", "parse_anf", "format_anf",
-    "CyclotomicCoset", "coset_of", "cosets_up_to_weight", "nk",
+    "CyclotomicCoset", "cosets_up_to_weight", "nk",
     "coset_period", "cardinal_counts",
     "linear_complexity_periodic", "min_period",
     "SpectralLine", "Spectrum", "dft", "reconstruct_period",

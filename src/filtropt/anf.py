@@ -50,9 +50,6 @@ class FilterFunction:
         """Order: the largest monomial size."""
         return max(m.bit_count() for m in self.masks)
 
-    def __str__(self) -> str:
-        return format_anf(self)
-
 
 def evaluate(f: FilterFunction, w: int) -> int:
     """Evaluate f on an L-bit window given as an int (bit t holds x_t)."""

@@ -132,12 +132,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lc_bm, period_measured = lab.measure(z)
     del lab  # free its monomial vectors before the DFT allocates
     spectrum = spectral.dft(z, ctx)
+    if not spectral.verify_subfield(spectrum):
+        raise AssertionError("a spectral coefficient lies outside its coset's subfield")
     lines = [{"leader": line.coset.leader, "weight": line.coset.weight,
               "cardinal": line.coset.cardinal,
               "coefficient_hex": f"0x{line.coefficient:x}"}
              for _, line in sorted(spectrum.lines.items())]
-    period_spectral = (spectral.period_from_spectrum(spectrum)
-                       if spectrum.lines else 1)
     payload = {
         "length": ctx.L,
         "poly": f"0x{ctx.modulus:x}",
@@ -146,7 +146,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "lc_bm": lc_bm,
         "lc_spectral": spectral.lc_from_spectrum(spectrum),
         "period_measured": period_measured,
-        "period_spectral": period_spectral,
+        "period_spectral": spectral.period_from_spectrum(spectrum),
         "optimal": lc_bm == cosets.nk(ctx.L, f.k) and period_measured == ctx.order,
         "lines": lines,
     }

@@ -39,16 +39,6 @@ def _orbit(e: int, n: int) -> list[int]:
     return orbit
 
 
-def coset_of(e: int, L: int) -> CyclotomicCoset:
-    """The coset containing exponent e, named by its leader (minimum element)."""
-    n = (1 << L) - 1
-    if not 1 <= e <= n - 1:
-        raise ValueError(f"exponent {e} outside [1, {n - 1}]")
-    orbit = _orbit(e, n)
-    leader = min(orbit)
-    return CyclotomicCoset(leader, len(orbit), leader.bit_count())
-
-
 def constant_coset(L: int) -> CyclotomicCoset:
     """The weight-L singleton orbit of 2^L - 1 (exponent 0 mod 2^L - 1)."""
     return CyclotomicCoset((1 << L) - 1, 1, L)

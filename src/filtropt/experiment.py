@@ -93,8 +93,8 @@ class Verdict:
     exactly, sampling must land within 3 sigma (a z_score of None does
     not).  bound_respected compares against the exponential approximation
     bound_general (with 3 sigma of sampling slack); it is reported for
-    context, not gating, since that approximation can sit slightly above
-    the true probability.
+    context, not gating, since that approximation sits above the true
+    probability: slightly at prime L, far above it at composite L.
     """
 
     exact_match: bool | None

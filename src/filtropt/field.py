@@ -28,8 +28,6 @@ from functools import cached_property
 
 import numpy as np
 
-FieldElement = int
-
 PRIMITIVE = {
     2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x187, 9: 0x211,
     10: 0x409, 11: 0x805, 12: 0x1107, 13: 0x2027, 14: 0x5007, 15: 0x8003, 16: 0x1100B,

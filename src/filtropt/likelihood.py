@@ -15,10 +15,13 @@ enumerating the cosets themselves.
 Two comparison values accompany the probability.  The product form
 prod (1 - 2^-cardinal) is a rigorous lower bound (dropping the positive
 1/(1 - 2^-C(L,k)) correction only shrinks the value).  The closed forms
-bound_general = exp(-nk/(2^L * L)) and bound_asymptotic = exp(-1/(2L)) are
-asymptotic approximations of that product: beware that exp(-x) > 1 - x
-makes them slightly OVERSHOOT the exact probability for most parameters,
-so they indicate proximity to 1 but do not bound pr from below.
+bound_general = exp(-nk/(2^L * L)) and bound_asymptotic = exp(-1/(2L))
+approximate that product only where every weight-<=k coset has cardinal
+L, as at every prime L, so that the product is (1 - 2^-L)^(nk/L).  Even
+there exp(-x) > 1 - x puts them above the product, so they do not bound
+pr from below.  At composite L each weight-<=k coset of cardinal d < L
+costs a factor 1 - 2^-d that neither form sees, and both sit far above
+pr: 0.963 and 0.969 against 0.590 at L = 16, k = 8.
 """
 from __future__ import annotations
 

@@ -21,7 +21,7 @@ from math import lcm
 import numpy as np
 
 from .cosets import CyclotomicCoset, coset_period, cosets_up_to_weight
-from .field import FieldContext, FieldElement, _check_period
+from .field import FieldContext, _check_period
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class SpectralLine:
     """One coset paired with its nonzero coefficient."""
 
     coset: CyclotomicCoset
-    coefficient: FieldElement
+    coefficient: int
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,6 @@ class Spectrum:
                 raise ValueError(f"coefficient {c!r} of line {leader} is not a nonzero "
                                  f"reduced element of GF(2^{self.ctx.L})")
 
-    def leaders(self) -> list[int]:
-        return sorted(self.lines)
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
 
 def dft(z: int, ctx: FieldContext) -> Spectrum:
     """Project one packed period (z_n at bit n) onto the coset leaders; nonzero lines only."""
@@ -64,8 +58,6 @@ def dft(z: int, ctx: FieldContext) -> Spectrum:
     raw = np.frombuffer(z.to_bytes((order + 7) // 8, "little"), dtype=np.uint8)
     ones = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
     lines: dict[int, SpectralLine] = {}
-    if len(ones) == 0:
-        return Spectrum(ctx, lines)
     for coset in cosets_up_to_weight(ctx.L, ctx.L):
         j = coset.leader % order  # constant coset folds to exponent 0
         idx = (-j * ones) % order

@@ -7,8 +7,10 @@ spectral references work on coefficient lists rather than bitmasks, and
 primitivity is the order of x computed by square-and-multiply against a
 trial-division factorization of 2^L - 1, where the package steps the powers
 of x until they return to 1, ln(1 - 2^-d) is a log or a summed power
-series, where the package calls mpmath's log1p, and canonical ANF text
-sorts tap tuples, where the package sorts one integer key per monomial.
+series, where the package calls mpmath's log1p, canonical ANF text
+sorts tap tuples, where the package sorts one integer key per monomial,
+and a cyclotomic coset is the set of rotations of an L-bit string, where
+the package doubles exponents mod 2^L - 1.
 """
 from __future__ import annotations
 
@@ -163,6 +165,15 @@ def reciprocal(poly: int, degree: int) -> int:
         if poly >> i & 1:
             out |= 1 << (degree - i)
     return out
+
+
+def coset_reference(e: int, L: int) -> tuple[int, int, int]:
+    """(leader, cardinal, weight) of the coset of e: its L-bit rotations, their
+    minimum, their count and the popcount they share."""
+    n = (1 << L) - 1
+    assert 1 <= e < n, f"exponent {e} outside [1, {n - 1}]"
+    orbit = {(e << i | e >> (L - i)) & n for i in range(L)}
+    return min(orbit), len(orbit), bin(e).count("1")
 
 
 def naive_min_period(bits: list[int]) -> int:

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from filtropt import cli, limits, polytable, spectral
+from filtropt import CyclotomicCoset, cli, limits, polytable, spectral
 
 
 def run(capsys, *argv):
@@ -267,6 +267,18 @@ def test_internal_check_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+def test_analyze_refuses_a_coefficient_outside_its_subfield(capsys, monkeypatch):
+    # coset {5, 10} has cardinal 2 at L = 4, and alpha does not lie in GF(4)
+    def out_of_subfield_dft(z, ctx):
+        return spectral.Spectrum(ctx, {5: spectral.SpectralLine(CyclotomicCoset(5, 2, 2), 0b10)})
+
+    monkeypatch.setattr(spectral, "dft", out_of_subfield_dft)
+    code, out, err = run(capsys, "analyze", "-L", "4", "--filter", "x0")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: a spectral coefficient lies outside its coset's subfield\n"
 
 
 def test_prob_headline(capsys):

@@ -3,32 +3,37 @@ from math import comb
 
 import pytest
 
-from filtropt import (cardinal_counts, coset_of, coset_period, cosets_up_to_weight,
+from filtropt import (CyclotomicCoset, cardinal_counts, coset_period, cosets_up_to_weight,
                       nk, pr_report)
 from filtropt.cosets import _divisors, _mobius, constant_coset
 
+from oracles import coset_reference
+
+
+def _coset(e, L):
+    return CyclotomicCoset(*coset_reference(e, L))
+
 
 def test_coset_of_examples():
-    c = coset_of(1, 5)
+    # the coset table holds, for each exponent, the entry the oracle names
+    def table_coset(e, L):
+        entry = {c.leader: c for c in cosets_up_to_weight(L, L)}[coset_reference(e, L)[0]]
+        assert entry == _coset(e, L)
+        return entry
+
+    c = table_coset(1, 5)
     assert (c.leader, c.cardinal, c.weight) == (1, 5, 1)
-    assert all(coset_of(e, 5) == c for e in (1, 2, 4, 8, 16))
-    c = coset_of(5, 4)
+    assert all(table_coset(e, 5) == c for e in (1, 2, 4, 8, 16))
+    c = table_coset(5, 4)
     assert (c.leader, c.cardinal, c.weight) == (5, 2, 2)
-    assert coset_of(10, 4) == c
-    assert coset_of(6, 5) == coset_of(3, 5)
-    assert coset_of(6, 5).leader == 3
+    assert table_coset(10, 4) == c
+    assert table_coset(6, 5) == table_coset(3, 5)
+    assert table_coset(6, 5).leader == 3
     # every member of an orbit, reached by doubling, maps back to its leader
-    c = coset_of(11, 6)
+    c = table_coset(11, 6)
     orbit = {(11 << i) % 63 for i in range(6)}
     assert len(orbit) == c.cardinal == 6 and c.leader == min(orbit) == 11
-    assert all(coset_of(e, 6) == c for e in orbit)
-
-
-def test_coset_of_range_errors():
-    with pytest.raises(ValueError):
-        coset_of(0, 4)
-    with pytest.raises(ValueError):
-        coset_of(15, 4)
+    assert all(table_coset(e, 6) == c for e in orbit)
 
 
 def test_cosets_up_to_weight_examples():
@@ -59,8 +64,8 @@ def test_nk_examples():
 
 def test_coset_period_examples():
     for L in (3, 4, 6):
-        assert coset_period(coset_of(1, L), L) == (1 << L) - 1
-    assert coset_period(coset_of(5, 4), 4) == 3
+        assert coset_period(_coset(1, L), L) == (1 << L) - 1
+    assert coset_period(_coset(5, 4), 4) == 3
     for c in cosets_up_to_weight(6, 6):
         assert ((1 << 6) - 1) % coset_period(c, 6) == 0
 
@@ -88,7 +93,7 @@ def test_cosets_partition_exponent_range(L):
     n = (1 << L) - 1
     table = {c.leader: c for c in cosets_up_to_weight(L, L - 1)}
     for e in range(1, n):
-        c = coset_of(e, L)
+        c = _coset(e, L)
         assert table[c.leader] == c
     assert sum(c.cardinal for c in table.values()) == n - 1
 

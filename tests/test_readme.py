@@ -10,8 +10,9 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from mpmath import mp
 
-from filtropt import cli
+from filtropt import cli, likelihood
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -50,3 +51,31 @@ def test_readme_cli_line_exits_0_with_valid_json(argv, capsys, monkeypatch, tmp_
     assert code == 0, err
     schema = resources.files("filtropt").joinpath(f"schemas/{SCHEMA[argv[0]]}.schema.json")
     jsonschema.validate(json.loads(out), json.loads(schema.read_text()))
+
+
+PROB_ROWS = re.findall(r"^\| `prob -L (\d+) -k (\d+)` \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$",
+                       README, re.M)
+
+
+@pytest.mark.parametrize("row", PROB_ROWS, ids=lambda row: f"L{row[0]}-k{row[1]}")
+def test_readme_bound_table_matches_pr_report(row):
+    L, k, *quoted = row
+    report = likelihood.pr_report(int(L), int(k))
+    values = (report.pr_float, report.bound_general, report.bound_asymptotic)
+    assert [mp.nstr(v, len(q) - 2, strip_zeros=False) for v, q in zip(values, quoted)] == quoted
+
+
+def test_readme_bound_claims_match_pr_report():
+    assert len(PROB_ROWS) == 3
+    flat = " ".join(README.split())
+    assert ("~80 significant digits at L = 257, k = 128 (3.6 and 3.1 at L = 7, k = 3)"
+            in flat)
+    for L, k, places, quoted in ((257, 128, 0, (80, 80)), (7, 3, 1, (3.6, 3.1))):
+        report = likelihood.pr_report(L, k, digits=100)
+        pr = report.pr_float
+        with mp.workdps(110):
+            agreement = [-mp.log10(abs(pr - bound) / pr)
+                         for bound in (report.bound_general, report.bound_asymptotic)]
+        assert tuple(round(float(a), places) for a in agreement) == quoted
+    assert "at L = 257, k = 128 the probability exceeds 0.998" in flat
+    assert likelihood.pr_report(257, 128).pr_float > 0.998

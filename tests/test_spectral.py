@@ -2,31 +2,35 @@ import random
 
 import pytest
 
-from filtropt import (Spectrum, context_for, dft, enumerate_filters, filter_sequence,
-                      lc_from_spectrum, linear_complexity_periodic, min_period,
-                      parse_anf, period_from_spectrum, random_filter, reconstruct_period,
-                      verify_subfield)
+from filtropt import (CyclotomicCoset, Spectrum, context_for, dft, enumerate_filters,
+                      filter_sequence, lc_from_spectrum, linear_complexity_periodic,
+                      min_period, parse_anf, period_from_spectrum, random_filter,
+                      reconstruct_period, verify_subfield)
 from filtropt.complexity import bits_to_int, min_period_packed
-from filtropt.cosets import coset_of
 from filtropt.spectral import SpectralLine
 
-from oracles import poly_list_mulmod, powmod, reconstruct_reference, trace_reference
+from oracles import (coset_reference, poly_list_mulmod, powmod, reconstruct_reference,
+                     trace_reference)
 
 
 def _output(ctx, f):
     return filter_sequence(f, ctx)
 
 
+def _coset(e, L):
+    return CyclotomicCoset(*coset_reference(e, L))
+
+
 def test_identity_filter_single_line(ctx3):
     spec = dft(bits_to_int(_output(ctx3, parse_anf("x0", 3))), ctx3)
-    assert spec.leaders() == [1]
+    assert sorted(spec.lines) == [1]
     assert lc_from_spectrum(spec) == 3
     assert period_from_spectrum(spec) == 7
 
 
 def test_zero_sequence_empty_spectrum(ctx3):
     spec = dft(0, ctx3)
-    assert len(spec) == 0
+    assert spec.lines == {}
     assert lc_from_spectrum(spec) == 0
     assert verify_subfield(spec) is True
     assert all(reconstruct_reference(spec, n) == 0 for n in range(7))
@@ -44,19 +48,19 @@ def test_dft_wrong_length(ctx3):
 
 def test_degree_two_filter_lines(ctx3):
     spec = dft(bits_to_int(_output(ctx3, parse_anf("x0*x1", 3))), ctx3)
-    assert set(spec.leaders()) <= {1, 3}
+    assert set(spec.lines) <= {1, 3}
 
 
 def test_full_degree_filter_hits_constant_coset(ctx3):
     z = _output(ctx3, parse_anf("x0*x1*x2", 3))
     assert sum(z) == 1  # the all-ones window appears exactly once per period
     spec = dft(bits_to_int(z), ctx3)
-    assert set(spec.leaders()) == {1, 3, 7}
+    assert set(spec.lines) == {1, 3, 7}
     assert lc_from_spectrum(spec) == 7 == linear_complexity_periodic(z)
 
 
 def test_single_line_at_leader_one_is_trace_sequence(ctx3):
-    coset = coset_of(1, 3)
+    coset = _coset(1, 3)
     spec = Spectrum(ctx3, {1: SpectralLine(coset, 1)})
     bits = [reconstruct_reference(spec, n) for n in range(7)]
     mod = [1, 1, 0, 1]  # x^3 + x + 1
@@ -107,7 +111,7 @@ def test_triangularity_exhaustive_l5_k2(ctx5):
 
 def test_subfield_membership_violated_by_hand_built_line(ctx4):
     # coset {5, 10} has cardinal 2; alpha is not in GF(4), so alpha^(2^2) != alpha
-    coset = coset_of(5, 4)
+    coset = _coset(5, 4)
     alpha = 0b10
     assert powmod(alpha, 1 << 2, ctx4.modulus) != alpha
     bad = Spectrum(ctx4, {5: SpectralLine(coset, alpha)})
@@ -117,22 +121,22 @@ def test_subfield_membership_violated_by_hand_built_line(ctx4):
 def test_single_short_coset_line_has_short_period(ctx4):
     # a legitimate GF(4) coefficient on coset {5, 10}: alpha^5 satisfies c^4 = c
     c = powmod(0b10, 5, ctx4.modulus)
-    spec = Spectrum(ctx4, {5: SpectralLine(coset_of(5, 4), c)})
+    spec = Spectrum(ctx4, {5: SpectralLine(_coset(5, 4), c)})
     assert verify_subfield(spec) is True
     assert period_from_spectrum(spec) == 3
     assert min_period_packed(reconstruct_period(spec), 15) == 3
 
 
 def test_spectrum_rejects_zero_unreduced_or_misfiled_lines(ctx5):
-    line = SpectralLine(coset_of(1, 5), 1)
+    line = SpectralLine(_coset(1, 5), 1)
     assert Spectrum(ctx5, {1: line}).lines == {1: line}
     for bad in (0, 1 << 5, -3):  # absent means zero; coefficients are reduced elements
         with pytest.raises(ValueError, match="not a nonzero reduced element"):
-            Spectrum(ctx5, {1: SpectralLine(coset_of(1, 5), bad)})
+            Spectrum(ctx5, {1: SpectralLine(_coset(1, 5), bad)})
     with pytest.raises(ValueError, match="coset led by 1"):
-        Spectrum(ctx5, {2: SpectralLine(coset_of(2, 5), 1)})
+        Spectrum(ctx5, {2: SpectralLine(_coset(2, 5), 1)})
     with pytest.raises(ValueError, match="coset led by 3"):
-        Spectrum(ctx5, {1: SpectralLine(coset_of(3, 5), 1)})
+        Spectrum(ctx5, {1: SpectralLine(_coset(3, 5), 1)})
 
 
 def test_oracle_equivalence_sampled_l7(ctx7):
