@@ -123,7 +123,7 @@ def random_filter(L: int, k: int, rng) -> FilterFunction:
     count_filters(L, k)  # validates range
     pool, n_low = selectable_masks(L, k)
     top_bits = rng.randrange(1, 1 << (len(pool) - n_low))
-    low_bits = rng.getrandbits(n_low) if n_low else 0
+    low_bits = rng.getrandbits(n_low)
     return FilterFunction(L, _decode_selector(pool, top_bits << n_low | low_bits))
 
 

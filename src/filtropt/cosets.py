@@ -96,13 +96,6 @@ def coset_period(c: CyclotomicCoset, L: int) -> int:
     return n // gcd(c.leader, n)
 
 
-def _mobius(n: int) -> int:
-    primes = _prime_factors(n)
-    if len(set(primes)) < len(primes):
-        return 0
-    return -1 if len(primes) % 2 else 1
-
-
 def _divisors(n: int) -> list[int]:
     primes = _prime_factors(n)
     divs = [1]
@@ -116,23 +109,23 @@ def cardinal_counts(L: int, k: int) -> dict[int, int]:
 
     An exponent has orbit size dividing d iff its L-bit string is L/d
     repetitions of a d-bit block, so the fixed counts are block-weight
-    binomials and Moebius inversion over the divisors of L isolates each
-    exact orbit size.  The cardinals must add up to the fixed count at
-    d = L, all nk(L, k) exponents: a failed inversion raises AssertionError.
-    Works for any L, including ones where 2^L - 1 is far beyond enumeration
-    range.
+    binomials.  Going up the divisors of L, the exponents of orbit size
+    exactly d are the fixed count at d less those of each smaller orbit
+    size dividing d.  A count that is not a multiple of d, or cardinals
+    that miss the fixed count at d = L (all nk(L, k) exponents), raise
+    AssertionError.  Works for any L, including ones where 2^L - 1 is far
+    beyond enumeration range.
     """
     check_report(L, k)
     divs = _divisors(L)
     fixed = {d: _binomial_sum(d, min(d, k // (L // d))) for d in divs}
 
-    counts: dict[int, int] = {}
-    for d in divs:
-        g = sum(_mobius(d // dd) * fixed[dd] for dd in _divisors(d))
-        if g:
-            if g % d:
-                raise AssertionError(f"orbit count {g} not divisible by size {d}")
-            counts[d] = g // d
+    exact: dict[int, int] = {}  # d: exponents of orbit size d
+    for d in divs:  # ascending, so the divisors of d are already in exact
+        exact[d] = fixed[d] - sum(g for e, g in exact.items() if d % e == 0)
+        if exact[d] % d:
+            raise AssertionError(f"orbit count {exact[d]} not divisible by size {d}")
+    counts = {d: g // d for d, g in exact.items() if g}
     if sum(d * c for d, c in counts.items()) != fixed[L]:
         raise AssertionError("coset cardinals do not cover the binomial sum")
     return counts

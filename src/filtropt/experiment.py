@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -106,13 +106,13 @@ class Verdict:
 class _SequenceLab:
     """The one producer of filter output: windows and monomial value vectors.
 
-    A period of output is a packed int with z_n at bit n, the xor of one
-    value vector per monomial.  A monomial's vector is the AND of its taps'
-    vectors, since its value is the product of those window bits; the first
-    limits.VECTOR_CACHE_BYTES of vectors built are cached.
-    A census of word-sized periods takes the same xors a block of filters
-    at a time (census_block) and measures each block at once
-    (measure_block).
+    A period of output is a packed int with z_n at bit n, which one loop
+    (output) xors together from one value vector per monomial.  A
+    monomial's vector is the AND of its taps' vectors, since its value is
+    the product of those window bits; the first limits.VECTOR_CACHE_BYTES
+    of vectors built are cached.  A census of word-sized periods runs that
+    loop once per census block, for the block's shared head, and xors in
+    the rest from a table (census_block); measure_block measures a block.
     """
 
     def __init__(self, ctx: FieldContext, initial_state: int = 1):
@@ -137,13 +137,17 @@ class _SequenceLab:
                 self._vectors[mask] = vec
         return vec
 
+    def output(self, masks: Iterable[int]) -> int:
+        """One period of the output of the monomials `masks` as a packed int."""
+        out = 0
+        for mask in masks:
+            out ^= self._vector(mask)
+        return out
+
     def filter_period_packed(self, f: FilterFunction) -> int:
         """One period of the filter output as a packed int."""
         _check_field(f, self.ctx)
-        out = 0
-        for mask in f.masks:
-            out ^= self._vector(mask)
-        return out
+        return self.output(f.masks)
 
     def measure(self, z: int) -> tuple[int, int]:
         """(linear complexity, minimal period) of a packed output period."""
@@ -172,9 +176,7 @@ class _SequenceLab:
         if not first <= last <= base + len(table):
             raise ValueError(f"census filters {start}..{stop - 1} leave census block "
                              f"{base // len(table)}")
-        head = 0
-        for mask in _decode_selector(pool, base):
-            head ^= self._vector(mask)
+        head = self.output(_decode_selector(pool, base))
         return table[first - base:last - base] ^ np.uint64(head)
 
     def measure_block(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,11 +201,11 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; well behaved near probability 1."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    phat = hits / trials
+    z, phat = _WILSON_Z, hits / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))

@@ -146,6 +146,7 @@ def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
         if k in (L // 2, (L + 1) // 2):
             asym = mp.exp(mpf(-1) / (2 * L))
 
+        m = f = ratio = None
         if exact:
             m = _nfm(counts)
             f = count_filters(L, k)
@@ -153,14 +154,8 @@ def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
             pr_from_ints = mpf(ratio.numerator) / mpf(ratio.denominator)
             if abs(pr_from_ints - pr_float) > mp.ldexp(abs(pr_from_ints), -mp.prec + 12):
                 raise AssertionError("exact and log-domain evaluations disagree")
+            if not 0 < ratio <= 1:
+                raise AssertionError("probability out of (0, 1]")
             pr_float = pr_from_ints
-            report = LikelihoodReport(L, k, n_cosets, nk_value, m, f, ratio,
-                                      pr_float, ln_pr, bound_general, asym,
-                                      "exact", digits)
-        else:
-            report = LikelihoodReport(L, k, n_cosets, nk_value, None, None, None,
-                                      pr_float, ln_pr, bound_general, asym,
-                                      "log-domain", digits)
-    if report.pr_exact is not None and not 0 < report.pr_exact <= 1:
-        raise AssertionError("probability out of (0, 1]")
-    return report
+        return LikelihoodReport(L, k, n_cosets, nk_value, m, f, ratio, pr_float, ln_pr,
+                                bound_general, asym, "exact" if exact else "log-domain", digits)

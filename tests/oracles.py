@@ -9,10 +9,14 @@ trial-division factorization of 2^L - 1, where the package steps the powers
 of x until they return to 1, ln(1 - 2^-d) is a log or a summed power
 series, where the package calls mpmath's log1p, canonical ANF text
 sorts tap tuples, where the package sorts one integer key per monomial,
-and a cyclotomic coset is the set of rotations of an L-bit string, where
-the package doubles exponents mod 2^L - 1.
+a cyclotomic coset is the set of rotations of an L-bit string, where
+the package doubles exponents mod 2^L - 1, and the coset count per
+cardinal is Moebius inversion over trial-division divisors, where the
+package subtracts the counts of smaller orbit sizes.
 """
 from __future__ import annotations
+
+from math import comb, isqrt
 
 import numpy as np
 from mpmath import mp, mpf
@@ -174,6 +178,42 @@ def coset_reference(e: int, L: int) -> tuple[int, int, int]:
     assert 1 <= e < n, f"exponent {e} outside [1, {n - 1}]"
     orbit = {(e << i | e >> (L - i)) & n for i in range(L)}
     return min(orbit), len(orbit), bin(e).count("1")
+
+
+def _divisor_list(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
+def _moebius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def cardinal_counts_reference(L: int, k: int) -> dict[int, int]:
+    """{cardinal d: weight-<=k coset count} by Moebius inversion.
+
+    An exponent is fixed by d doublings iff its L-bit string repeats a
+    d-bit block L/d times, so fixed(d) counts the nonzero blocks of weight
+    b with b * L/d <= k, and the exponents of orbit size exactly d are
+    sum over e | d of mu(d/e) * fixed(e).
+    """
+    divisors = _divisor_list(L)
+    fixed = {d: sum(comb(d, b) for b in range(1, d + 1) if b * (L // d) <= k)
+             for d in divisors}
+    counts = {}
+    for d in divisors:
+        exact = sum(_moebius(d // e) * fixed[e] for e in _divisor_list(d))
+        if exact:
+            counts[d] = exact // d
+    return counts
 
 
 def naive_min_period(bits: list[int]) -> int:

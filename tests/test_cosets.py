@@ -5,9 +5,9 @@ import pytest
 
 from filtropt import (CyclotomicCoset, cardinal_counts, coset_period, cosets_up_to_weight,
                       nk, pr_report)
-from filtropt.cosets import _divisors, _mobius, constant_coset
+from filtropt.cosets import constant_coset
 
-from oracles import coset_reference
+from oracles import cardinal_counts_reference, coset_reference
 
 
 def _coset(e, L):
@@ -124,25 +124,20 @@ def test_cardinal_counts_large_composite_length():
     assert all(24 % d == 0 for d in counts)
 
 
-def _cardinal_counts_unbounded(L, k):
-    # the same Moebius inversion, with the block weight b running over all
-    # of 1..d and the blocks too heavy for weight k filtered out
-    def fixed(d):
-        rep = L // d
-        return sum(comb(d, b) for b in range(1, d + 1) if b * rep <= k)
-
-    counts = {}
-    for d in _divisors(L):
-        g = sum(_mobius(d // dd) * fixed(dd) for dd in _divisors(d))
-        if g:
-            counts[d] = g // d
-    return counts
-
-
 def test_cardinal_counts_bounded_range_matches_unbounded():
+    # the oracle inverts by Moebius, with the block weight running over all
+    # of 1..d and the blocks too heavy for weight k filtered out; the package
+    # subtracts smaller orbit sizes and stops each block weight at k // rep
     for L in range(2, 49):
         for k in range(1, L + 1):
-            assert cardinal_counts(L, k) == _cardinal_counts_unbounded(L, k), (L, k)
+            assert cardinal_counts(L, k) == cardinal_counts_reference(L, k), (L, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cardinal_counts_many_divisors(k):
+    # 720720 = 2^4 3^2 5 7 11 13 has 240 divisors, each of whose orbit
+    # counts subtracts those of all its own divisors
+    assert cardinal_counts(720720, k) == cardinal_counts_reference(720720, k)
 
 
 def test_cardinal_counts_huge_length():
