@@ -1,9 +1,9 @@
 """Linear complexity and exact minimal period measurement.
 
-The periodic measurements use no filter theory, and each is one algorithm
-in two forms: a scalar kernel on a packed int, and a word kernel that runs
-the same steps on a numpy uint64 lane per sequence, for the census blocks
-of periods of at most WORD_MAX_PERIOD bits.
+The periodic measurements use no filter theory.  Each has a scalar kernel
+on a packed int and a word kernel on one numpy uint64 lane per sequence,
+for census periods of at most WORD_MAX_PERIOD bits: the min-period kernels
+run the same steps, the lc kernels take the same gcd by two algorithms.
 
 - Linear complexity is N - deg gcd(x^N - 1, z(x)), where z(x) is the sum
   of z_n x^n over one period of N bits (Ding, Xiao & Shan, The Stability

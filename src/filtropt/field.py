@@ -4,17 +4,17 @@ Field elements are plain ints carrying the polynomial-basis coefficient
 bitmask (bit i = coefficient of x^i), so 0 and 1 are the additive and
 multiplicative identities and addition is xor.  A ``FieldContext`` is a
 primitive modulus of degree L and its tables: ``exp_table[n]`` is alpha^n,
-``log_table`` inverts it on the nonzero elements, and ``trace_mask`` turns
-the absolute trace into a masked parity, so a product is a sum of logs and
-a trace is one popcount.
+``log_table`` inverts it on the nonzero elements, so a product is a sum of
+logs.
 
 Primitivity is checked by the powers themselves: the modulus is primitive
 exactly when alpha = x has order 2^L - 1, and the constructor steps
 v -> alpha * v (a Galois register) from 1 until v returns, keeping every
-power as the exp table.  The m-sequence is the trace sequence
-s_n = Tr(alpha^n) (Golomb, Shift Register Sequences, 1967), so the window
-table is read off the powers too (see lfsr.window_table).  Before any step
-the constructor checks the one cap on sequence work, 2 <= L <= DESK_MAX_L.
+power as the exp table.  Any nonzero linear form of alpha^n is an
+m-sequence of the modulus (Lidl & Niederreiter, Finite Fields, 1997,
+Thm 8.24); the constructor takes bit 0, so the window table is read off
+the powers too (see lfsr.window_table).  Before any step the constructor
+checks the one cap on sequence work, 2 <= L <= DESK_MAX_L.
 
 PRIMITIVE holds the default modulus for every length up to that cap, and
 its largest key is the cap.  Entry L is the first primitive polynomial among
@@ -75,7 +75,7 @@ class FieldContext:
 
     Construction refuses the modulus unless v -> alpha * v, from 1, first
     returns to 1 after exactly 2^L - 1 steps.  exp_table holds those powers,
-    trace_mask and the window table come from them.  Safe to share across
+    and the window table comes from them.  Safe to share across
     threads/processes: every table is read-only, and a pickled context is
     rebuilt (and re-verified) by polytable.context_for on arrival, once per
     process, rather than shipped as writeable copies.
@@ -103,18 +103,9 @@ class FieldContext:
                 f"0x{modulus:x} is not primitive of degree {L}; refusing to build field")
         self.exp_table = np.array(powers, dtype=np.int64)
         self.exp_table.flags.writeable = False
-        # bit i is Tr(alpha^i), the xor of alpha^(i 2^j) over j < L
-        self.trace_mask = 0
-        for i in range(L):
-            t = 0
-            for j in range(L):
-                t ^= powers[(i << j) % order]
-            if t not in (0, 1):
-                raise AssertionError("trace of basis element outside GF(2)")
-            self.trace_mask |= t << i
-        # s_n = Tr(alpha^n) obeys the modulus's recurrence, so its windows are
-        # the Fibonacci register's states, all 2^L - 1 of them on one cycle
-        s = (np.bitwise_count(self.exp_table & self.trace_mask) & 1).astype(np.int64)
+        # bit 0 of alpha^n, a nonzero linear form, obeys the modulus's recurrence, so
+        # its windows are the Fibonacci register's states, all 2^L - 1 on one cycle
+        s = self.exp_table & 1
         s = np.resize(s, order + L - 1)  # one period and its first L - 1 bits again
         self._windows = sum(s[i:i + order] << i for i in range(L))
         self._windows.flags.writeable = False

@@ -18,10 +18,10 @@ def window_table(ctx: FieldContext, initial_state: int = 1) -> np.ndarray:
 
     The window at n, (a_n, ..., a_(n+L-1)) packed with a_(n+i) at bit i, is
     the register state after n clocks, so window_table(ctx, s) & 1 is the
-    m-sequence from state s.  The context holds the windows of the trace
-    sequence Tr(alpha^n), which obeys the same recurrence, and every nonzero
-    state lies on that one cycle, so the table from s is the context's
-    table rotated to start at s.
+    m-sequence from state s.  The context holds the windows of bit 0 of
+    alpha^n, a nonzero linear form that obeys the same recurrence, and every
+    nonzero state lies on that one cycle, so the table from s is the
+    context's table rotated to start at s.
     """
     if not isinstance(initial_state, int) or initial_state <= 0 or initial_state >> ctx.L:
         shown = hex(initial_state) if isinstance(initial_state, int) else repr(initial_state)

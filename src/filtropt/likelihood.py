@@ -71,9 +71,23 @@ def _nfm(counts: dict[int, int]) -> int:
     return out
 
 
+def _probability(ratio: Fraction) -> Fraction:
+    """The one check on an exact probability: it lies in (0, 1]."""
+    if not 0 < ratio <= 1:
+        raise AssertionError("probability out of (0, 1]")
+    return ratio
+
+
 def pr_exact(L: int, k: int) -> Fraction:
     """nfm/nfk in lowest terms; exact-mode parameters only."""
-    return Fraction(nfm(L, k), count_filters(L, k))
+    return _probability(Fraction(nfm(L, k), count_filters(L, k)))
+
+
+def _precision(digits: int):
+    """The one precision gate: digits in [1, MAX_DIGITS], worked with guard digits."""
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must lie in [1, {MAX_DIGITS}], got {digits}")
+    return mp.workdps(digits + _GUARD_DIGITS)
 
 
 def ln_probability_parts(L: int, k: int, digits: int = 50) -> tuple[mpf, mpf]:
@@ -84,7 +98,7 @@ def ln_probability_parts(L: int, k: int, digits: int = 50) -> tuple[mpf, mpf]:
     exceeds the first part even when the gap is far below the working
     precision of a direct subtraction.
     """
-    with mp.workdps(digits + _GUARD_DIGITS):
+    with _precision(digits):
         return _ln_parts(L, k, cardinal_counts(L, k))
 
 
@@ -128,16 +142,14 @@ def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
     exp(-1/(2L)) is reported exactly when k is L/2 rounded either way (the
     regime where nk(L,k) is about 2^(L-1)).
     """
-    if not 1 <= digits <= MAX_DIGITS:
-        raise ValueError(f"digits must lie in [1, {MAX_DIGITS}], got {digits}")
-    counts = cardinal_counts(L, k)  # refuses k * L past limits.MAX_REPORT_KL
-    # nk(L, k) is the cardinals' total, which cardinal_counts checked against
-    # the binomial sum; summing that again costs as much as the rest at L = 10^5
-    nk_value = sum(d * c for d, c in counts.items())
-    n_cosets = sum(counts.values())
-    exact = nk_value <= EXACT_NK_BIT_CAP
+    with _precision(digits):
+        counts = cardinal_counts(L, k)  # refuses k * L past limits.MAX_REPORT_KL
+        # nk(L, k) is the cardinals' total, the binomial sum their counts telescope
+        # to; summing that again costs as much as the rest at L = 10^5
+        nk_value = sum(d * c for d, c in counts.items())
+        n_cosets = sum(counts.values())
+        exact = nk_value <= EXACT_NK_BIT_CAP
 
-    with mp.workdps(digits + _GUARD_DIGITS):
         product_term, correction = _ln_parts(L, k, counts)
         ln_pr = product_term + correction
         pr_float = mp.exp(ln_pr)
@@ -150,12 +162,10 @@ def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
         if exact:
             m = _nfm(counts)
             f = count_filters(L, k)
-            ratio = Fraction(m, f)
+            ratio = _probability(Fraction(m, f))
             pr_from_ints = mpf(ratio.numerator) / mpf(ratio.denominator)
             if abs(pr_from_ints - pr_float) > mp.ldexp(abs(pr_from_ints), -mp.prec + 12):
                 raise AssertionError("exact and log-domain evaluations disagree")
-            if not 0 < ratio <= 1:
-                raise AssertionError("probability out of (0, 1]")
             pr_float = pr_from_ints
         return LikelihoodReport(L, k, n_cosets, nk_value, m, f, ratio, pr_float, ln_pr,
                                 bound_general, asym, "exact" if exact else "log-domain", digits)

@@ -19,7 +19,8 @@ ENUMERATION_MAX_L = 20
 # about k * L: 3.6 s at k = L = 10^5, the slowest the cap admits, and 7.5 s
 # at L = 2 * 10^5, k = 10^5.  At k = 1, trial division of L stops by 10^5.
 MAX_REPORT_KL = 10 ** 10
-# Largest nk(L, k) = log2(nfk) in exact big-integer mode: 3 s at L = 21, k = 10.
+# Largest nk(L, k) = log2(nfk) in exact big-integer mode, and the widest count
+# anf.count_filters builds: 3 s at L = 21, k = 10.
 EXACT_NK_BIT_CAP = 1 << 20
 # Largest `digits` a report accepts: 0.25 s at L = 257, k = 128, while
 # 100 000 digits take 27 s even at L = 5.

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from filtropt import CyclotomicCoset, cli, limits, polytable, spectral
+from filtropt import CyclotomicCoset, cli, likelihood, limits, polytable, spectral
 
 
 def run(capsys, *argv):
@@ -279,6 +279,24 @@ def test_analyze_refuses_a_coefficient_outside_its_subfield(capsys, monkeypatch)
     assert code == 3
     assert out == ""
     assert err == "internal error: a spectral coefficient lies outside its coset's subfield\n"
+
+
+def test_an_impossible_probability_exits_3(capsys, monkeypatch):
+    # one cardinal-L coset too many puts nfm above nfk, so pr_exact exceeds 1
+    # before any run is compared with it
+    real = likelihood.cardinal_counts
+
+    def one_coset_too_many(L, k):
+        counts = real(L, k)
+        return counts | {L: counts.get(L, 0) + 1}
+
+    monkeypatch.setattr(likelihood, "cardinal_counts", one_coset_too_many)
+    for argv in (["enumerate", "-L", "5", "-k", "2"],
+                 ["sample", "-L", "10", "-k", "5", "--trials", "50"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: probability out of (0, 1]\n"
 
 
 def test_prob_headline(capsys):

@@ -9,18 +9,10 @@ import pytest
 from filtropt import FieldContext, context_for, window_table
 from filtropt.field import DESK_MAX_L, PRIMITIVE, poly_gcd
 
-from oracles import mulmod, powmod, trace_reference, x_has_full_order
+from oracles import mulmod, powmod, x_has_full_order
 
 
 MOD3 = 0b1011  # x^3 + x + 1, the embedded cubic
-
-
-def _trace(ctx, a):
-    return (a & ctx.trace_mask).bit_count() & 1
-
-
-def _coeffs(a, L):
-    return [a >> i & 1 for i in range(L)]
 
 
 def test_add_is_xor(ctx3):
@@ -61,27 +53,6 @@ def test_pow_basics(ctx3):
         assert powmod(alpha, n, MOD3) == ctx3.exp_table[n % ctx3.order]
 
 
-def test_trace_examples(ctx3):
-    assert _trace(ctx3, 0) == 0
-    # L odd: trace(1) = L mod 2
-    assert _trace(ctx3, 1) == 1
-    # independent coefficient-list oracle for trace(x) in GF(2^3)/x^3+x+1
-    mod = [1, 1, 0, 1]
-    assert trace_reference([0, 1, 0], mod, 3) == 0
-    assert _trace(ctx3, 0b010) == 0
-
-
-def test_trace_matches_definition_randomized():
-    rng = random.Random(101)
-    for L in (5, 8, 13):
-        ctx = context_for(L)
-        mod = _coeffs(ctx.modulus, L + 1)
-        for _ in range(50):
-            a = rng.randrange(1 << L)
-            assert _trace(ctx, a) == trace_reference(_coeffs(a, L), mod, L)
-            assert _trace(ctx, mulmod(a, a, ctx.modulus)) == _trace(ctx, a)
-
-
 def test_frobenius_is_additive():
     rng = random.Random(102)
     for L in (5, 8, 13):
@@ -94,13 +65,6 @@ def test_frobenius_is_additive():
             assert mulmod(a ^ b, a ^ b, ctx.modulus) == sq_a ^ sq_b
             if a:  # squaring doubles the log
                 assert exp[2 * log[a] % ctx.order] == sq_a
-
-
-def test_trace_balanced_exhaustively():
-    for L in range(2, 17):
-        ctx = context_for(L)
-        zeros = sum(1 for a in range(1 << L) if _trace(ctx, a) == 0)
-        assert zeros == 1 << (L - 1)
 
 
 @pytest.mark.parametrize("L", [4, 8, 12, 16])
@@ -129,7 +93,7 @@ def test_exp_log_tables_capped():
 
 def test_field_context_surface(ctx3):
     public = {name for name in dir(ctx3) if not name.startswith("_")}
-    assert public == {"L", "modulus", "order", "exp_table", "log_table", "trace_mask"}
+    assert public == {"L", "modulus", "order", "exp_table", "log_table"}
 
 
 def test_is_primitive_examples():

@@ -1,10 +1,11 @@
 import pytest
 
 from filtropt import context_for, min_period, window_table
+from filtropt.field import PRIMITIVE
 from filtropt.complexity import berlekamp_massey_packed, bits_to_int
 
 from oracles import (m_sequence_reference, poly_list_mulmod, reciprocal, trace_reference,
-                     trace_sequence_reference)
+                     trace_sequence_reference, x_has_full_order)
 
 
 def _bits(ctx, state=1):
@@ -49,9 +50,15 @@ def test_windows_enumerate_nonzero_vectors(L):
 
 
 def test_window_table_matches_recurrence():
-    for L in range(2, 17):
-        ctx = context_for(L)
-        for state in range(1, 1 << L) if L <= 5 else (1, 3, (1 << L) - 1):
+    # the default moduli, then every other primitive modulus of degree <= 6:
+    # the context reads its windows off alpha's powers under any modulus
+    contexts = [context_for(L) for L in range(2, 17)]
+    contexts += [context_for(L, poly) for L in range(2, 7) for poly in range(1 << L, 2 << L)
+                 if poly != PRIMITIVE[L] and x_has_full_order(poly, L)]
+    assert len(contexts) == 15 + 17 - 5  # 17 primitive moduli of degree 2..6, 5 in the table
+    for ctx in contexts:
+        L = ctx.L
+        for state in range(1, 1 << L) if L <= 6 else (1, 3, (1 << L) - 1):
             wins = window_table(ctx, state)
             want = m_sequence_reference(ctx.modulus, L, state, ctx.order + L)
             windows, w = [], state

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 from math import comb
@@ -7,7 +8,7 @@ from mpmath import mp, mpf
 
 from filtropt import cardinal_counts, count_filters, nfm, nk, pr_exact, pr_report
 from filtropt.likelihood import _ln_one_minus_pow2, ln_probability_parts
-from filtropt.limits import EXACT_NK_BIT_CAP, MAX_REPORT_KL
+from filtropt.limits import EXACT_NK_BIT_CAP, MAX_DIGITS, MAX_REPORT_KL
 from oracles import ln_one_minus_pow2_series
 
 
@@ -113,6 +114,16 @@ def test_ln_probability_parts_split():
             # the correction is exactly -ln(1 - 2^-C(L,k))
             want = -mp.log(1 - mp.ldexp(1, -comb(L, k)))
             assert abs(correction - want) < mpf(10) ** -40
+
+
+@pytest.mark.parametrize("digits", [-50, 0, MAX_DIGITS + 1])
+def test_both_precision_entry_points_refuse_digits_past_the_cap(digits):
+    # ln_probability_parts(5, 2, digits=-50) gave a product term of -0.125,
+    # where the true value is -0.0952
+    for entry in (pr_report, ln_probability_parts):
+        with pytest.raises(ValueError, match=re.escape(
+                f"digits must lie in [1, {MAX_DIGITS}], got {digits}")):
+            entry(5, 2, digits=digits)
 
 
 def test_parameter_validation():

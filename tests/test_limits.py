@@ -1,12 +1,14 @@
 import ast
 import random
 import re
+import time
 from importlib import resources
 
 import pytest
 
-from filtropt import (cardinal_counts, count_filters, cosets_up_to_weight, limits, nfm, nk,
-                      pr_report, random_filter)
+from filtropt import (cardinal_counts, count_filters, cosets_up_to_weight, enumerate_filters,
+                      limits, nfm, nk, pr_report, random_filter, run_exhaustive)
+from filtropt.anf import census_size
 from filtropt.experiment import check_run
 
 CAPS = {"ENUMERATION_CAP", "CENSUS_BLOCK_BITS", "ENUMERATION_MAX_L", "MAX_REPORT_KL",
@@ -39,6 +41,21 @@ def test_every_entry_point_gives_the_one_order_message(L, k):
         with pytest.raises(ValueError, match=re.escape(
                 f"need 2 <= L and 1 <= k <= L, got L={L}, k={k}")):
             entry(L, k)
+
+
+def test_a_count_past_the_exact_bit_cap_is_refused_before_it_is_built():
+    # the count's bit length is nk(L, k): 2^20 - 1 at (21, 10), the widest
+    # admitted, and 2^20 + C(21, 11) - 1 at (21, 11), which used to be built
+    assert count_filters(21, 10).bit_length() == limits.EXACT_NK_BIT_CAP - 1
+    builders = [count_filters, census_size, lambda L, k: check_run(L, k, 1), run_exhaustive,
+                lambda L, k: next(enumerate_filters(L, k)),
+                lambda L, k: random_filter(L, k, random.Random(0))]
+    for L, k in [(21, 11), (40, 20), (10 ** 9, 10 ** 8)]:
+        for entry in builders:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"more than {limits.EXACT_NK_BIT_CAP} bits"):
+                entry(L, k)
+            assert time.perf_counter() - start < 0.1
 
 
 def test_report_cap_is_checked_after_the_order():
