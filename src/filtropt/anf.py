@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from .field import FieldContext
 from .lfsr import window_table
-from .limits import ENUMERATION_CAP, EXACT_NK_BIT_CAP, check_order
+from .limits import ENUMERATION_CAP, check_exact
 
 _TAP_RE = re.compile(r"^x([0-9]+)$")  # \d would take any Unicode digit
 
@@ -75,12 +75,7 @@ def filter_sequence(f: FilterFunction, ctx: FieldContext, initial_state: int = 1
 
 def count_filters(L: int, k: int) -> int:
     """Exact size of the order-k filter space: (2^C(L,k) - 1) * 2^C(L,k-1) * ... * 2^C(L,1)."""
-    check_order(L, k)
-    width = 0  # the count's bit length, nk(L, k): refused past the cap before it is built
-    for d in range(1, k + 1):  # C(L, d) grows fast, so a refusal comes within a few terms
-        width += comb(L, d)
-        if width > EXACT_NK_BIT_CAP:
-            raise ValueError(f"count_filters(L={L}, k={k}) needs more than {EXACT_NK_BIT_CAP} bits")
+    width = check_exact(L, k)  # the count's bit length, refused past the cap before it is built
     return ((1 << comb(L, k)) - 1) << (width - comb(L, k))
 
 
@@ -124,7 +119,7 @@ def random_filter(L: int, k: int, rng) -> FilterFunction:
     The degree-k monomial subset is uniform over nonzero subsets; every
     lower-degree monomial is included independently with probability 1/2.
     """
-    count_filters(L, k)  # refuses a bad order, or a count past limits.EXACT_NK_BIT_CAP
+    count_filters(L, k)  # refuses a bad order, or a count past limits.check_exact's cap
     pool, n_low = selectable_masks(L, k)
     top_bits = rng.randrange(1, 1 << (len(pool) - n_low))
     low_bits = rng.getrandbits(n_low)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import anf, complexity, cosets, experiment, likelihood, polytable, spectral
-from .limits import EXACT_NK_BIT_CAP, LC_MAX_BITS
+from .limits import LC_MAX_BITS, check_exact, check_report
 
 
 class CliError(ValueError):
@@ -155,11 +155,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_prob(args: argparse.Namespace) -> int:
+    if args.exact:  # refused before any work, past the report cap first
+        check_report(args.length, args.order)
+        check_exact(args.length, args.order)
     report = likelihood.pr_report(args.length, args.order, digits=args.digits)
-    if args.exact and report.mode != "exact":
-        raise CliError(
-            f"--exact: nk(L,k) = {report.nk_value} exceeds the exact-mode budget "
-            f"of {EXACT_NK_BIT_CAP} bits")
     payload = {
         "length": report.L,
         "order": report.k,
@@ -281,9 +280,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # exact-mode counts can run to hundreds of thousands of digits, beyond
-    # CPython's default int-to-str conversion guard
-    if hasattr(sys, "set_int_max_str_digits"):
+    # exact-mode counts can run to hundreds of thousands of digits, past CPython's
+    # int-to-str conversion guard, which is raised while main runs, then restored
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if previous is not None:
         sys.set_int_max_str_digits(2_000_000)
     parser = build_parser()
     try:
@@ -295,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

@@ -11,12 +11,12 @@ histogram.  A census of periods N <= WORD_MAX_PERIOD (L <= 6) is cut into
 census blocks of at most 2^CENSUS_BLOCK_BITS filters, whose outputs come
 from xor-ing the monomial vectors by subset doubling and are measured at
 once by the word kernels, one uint64 lane per filter; each block's first
-filter is measured again by the scalar kernels as a spot check.  A longer
-census, and Monte Carlo, measure chunks of at most 2^CENSUS_BLOCK_BITS
-filters one at a time, more and smaller ones for more workers.  Monte
-Carlo seeds each trial's generator by blake2b over master seed and trial
-index, so both modes give bit-identical results for a given (L, k, seed,
-trials) at any worker count.
+filter and its first of lowest lc are measured again by the scalar kernels
+as a spot check.  A longer census, and Monte Carlo, measure chunks of at
+most 2^CENSUS_BLOCK_BITS filters one at a time, more and smaller ones for
+more workers.  Monte Carlo seeds each trial's generator by blake2b over
+master seed and trial index, so both modes give bit-identical results for
+a given (L, k, seed, trials) at any worker count.
 
 A row sink, if given, gets each filter's TrialRecord in census or trial
 order from the parent process, which derives each chunk's filters again.
@@ -182,16 +182,16 @@ class _SequenceLab:
     def measure_block(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(linear complexities, minimal periods) of a census block, as int64 arrays.
 
-        The word kernels, spot-checked against the scalar kernels on the
-        block's first filter (a mismatch is a bug, raised as AssertionError).
+        The word kernels, spot-checked against the scalar kernels on the block's
+        first filter and its first of lowest lc (a mismatch is a bug: AssertionError).
         """
         lcs, periods = periodic_lc_words(z, self.period), min_period_words(z, self.period)
-        first = int(z[0])
-        scalar = self.measure(first)
-        if scalar != (lcs[0], periods[0]):
-            raise AssertionError(
-                f"word kernels give (lc, period) = ({lcs[0]}, {periods[0]}) but the "
-                f"scalar kernels {scalar} for the output {first:#x}")
+        for lane in sorted({0, int(lcs.argmin())}):
+            scalar = self.measure(int(z[lane]))
+            if scalar != (lcs[lane], periods[lane]):
+                raise AssertionError(
+                    f"word kernels give (lc, period) = ({lcs[lane]}, {periods[lane]}) but "
+                    f"the scalar kernels {scalar} for the output {int(z[lane]):#x}")
         return lcs, periods
 
 

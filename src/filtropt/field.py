@@ -10,11 +10,8 @@ logs.
 Primitivity is checked by the powers themselves: the modulus is primitive
 exactly when alpha = x has order 2^L - 1, and the constructor steps
 v -> alpha * v (a Galois register) from 1 until v returns, keeping every
-power as the exp table.  Any nonzero linear form of alpha^n is an
-m-sequence of the modulus (Lidl & Niederreiter, Finite Fields, 1997,
-Thm 8.24); the constructor takes bit 0, so the window table is read off
-the powers too (see lfsr.window_table).  Before any step the constructor
-checks the one cap on sequence work, 2 <= L <= DESK_MAX_L.
+power as the exp table.  Before any step the constructor checks the one
+cap on sequence work, 2 <= L <= DESK_MAX_L.
 
 PRIMITIVE holds the default modulus for every length up to that cap, and
 its largest key is the cap.  Entry L is the first primitive polynomial among
@@ -74,11 +71,10 @@ class FieldContext:
     """A primitive modulus of degree L and the tables read off alpha's powers.
 
     Construction refuses the modulus unless v -> alpha * v, from 1, first
-    returns to 1 after exactly 2^L - 1 steps.  exp_table holds those powers,
-    and the window table comes from them.  Safe to share across
-    threads/processes: every table is read-only, and a pickled context is
-    rebuilt (and re-verified) by polytable.context_for on arrival, once per
-    process, rather than shipped as writeable copies.
+    returns to 1 after exactly 2^L - 1 steps.  exp_table holds those powers.
+    Safe to share across threads/processes: every table is read-only, and a
+    pickled context is rebuilt (and re-verified) by polytable.context_for on
+    arrival, once per process, rather than shipped as writeable copies.
     """
 
     def __init__(self, L: int, modulus: int):
@@ -103,12 +99,6 @@ class FieldContext:
                 f"0x{modulus:x} is not primitive of degree {L}; refusing to build field")
         self.exp_table = np.array(powers, dtype=np.int64)
         self.exp_table.flags.writeable = False
-        # bit 0 of alpha^n, a nonzero linear form, obeys the modulus's recurrence, so
-        # its windows are the Fibonacci register's states, all 2^L - 1 on one cycle
-        s = self.exp_table & 1
-        s = np.resize(s, order + L - 1)  # one period and its first L - 1 bits again
-        self._windows = sum(s[i:i + order] << i for i in range(L))
-        self._windows.flags.writeable = False
 
     def __reduce__(self):
         from .polytable import context_for  # polytable imports this module

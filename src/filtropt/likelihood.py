@@ -32,8 +32,8 @@ from math import comb
 from mpmath import mp, mpf
 
 from .anf import count_filters
-from .cosets import cardinal_counts, nk
-from .limits import EXACT_NK_BIT_CAP, MAX_DIGITS
+from .cosets import cardinal_counts
+from .limits import EXACT_NK_BIT_CAP, MAX_DIGITS, check_exact, check_report
 
 _GUARD_DIGITS = 10
 
@@ -53,20 +53,13 @@ def nfm(L: int, k: int) -> int:
     """Exact count of order-k filters reaching linear complexity nk(L, k).
 
     Product of (2^cardinal - 1) over the weight-<=k cosets.  Only available
-    while the numbers fit the exact-mode budget; pr_report handles the rest
-    in the log domain.
+    while the numbers fit the exact-mode budget, checked after the report
+    cap; pr_report handles the rest in the log domain.
     """
-    counts = cardinal_counts(L, k)
-    if sum(d * c for d, c in counts.items()) > EXACT_NK_BIT_CAP:  # the total is nk(L, k)
-        raise ValueError(
-            f"nfm(L={L}, k={k}) needs about 2^{nk(L, k)} bits; "
-            "use pr_report's log-domain mode instead")
-    return _nfm(counts)
-
-
-def _nfm(counts: dict[int, int]) -> int:
+    check_report(L, k)
+    check_exact(L, k)
     out = 1
-    for d, count in counts.items():
+    for d, count in cardinal_counts(L, k).items():
         out *= ((1 << d) - 1) ** count
     return out
 
@@ -160,7 +153,7 @@ def pr_report(L: int, k: int, digits: int = 50) -> LikelihoodReport:
 
         m = f = ratio = None
         if exact:
-            m = _nfm(counts)
+            m = nfm(L, k)
             f = count_filters(L, k)
             ratio = _probability(Fraction(m, f))
             pr_from_ints = mpf(ratio.numerator) / mpf(ratio.denominator)

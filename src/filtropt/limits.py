@@ -1,10 +1,12 @@
-"""Every resource cap, each with the cost that sets it, and the two size checks.
+"""Every resource cap, each with the cost that sets it, and the three size checks.
 
 A size past a cap is refused before the work it bounds starts.  The sequence
 cap DESK_MAX_L is the default polynomial table's largest key, so field
 defines it and its constructor checks it.  Timings: one Xeon core, Python 3.11.
 """
 from __future__ import annotations
+
+from math import comb
 
 from .field import DESK_MAX_L  # noqa: F401  (re-exported)
 
@@ -20,7 +22,7 @@ ENUMERATION_MAX_L = 20
 # at L = 2 * 10^5, k = 10^5.  At k = 1, trial division of L stops by 10^5.
 MAX_REPORT_KL = 10 ** 10
 # Largest nk(L, k) = log2(nfk) in exact big-integer mode, and the widest count
-# anf.count_filters builds: 3 s at L = 21, k = 10.
+# anf.count_filters builds, both held by check_exact: 3 s at L = 21, k = 10.
 EXACT_NK_BIT_CAP = 1 << 20
 # Largest `digits` a report accepts: 0.25 s at L = 257, k = 128, while
 # 100 000 digits take 27 s even at L = 5.
@@ -46,3 +48,19 @@ def check_report(L: int, k: int) -> None:
     check_order(L, k)
     if k * L > MAX_REPORT_KL:
         raise ValueError(f"k*L = {k}*{L} exceeds the report cap of {MAX_REPORT_KL}")
+
+
+def check_exact(L: int, k: int) -> int:
+    """check_order, then nk(L, k) <= EXACT_NK_BIT_CAP, before any exact count is built.
+
+    Returns nk(L, k), the filter count's bit length.  C(L, d) grows fast, so a
+    refusal comes within a few terms, long before nk itself is summed.
+    """
+    check_order(L, k)
+    width = 0
+    for d in range(1, k + 1):
+        width += comb(L, d)
+        if width > EXACT_NK_BIT_CAP:
+            raise ValueError(f"exact counts at L={L}, k={k} need more than {EXACT_NK_BIT_CAP} "
+                             "bits; use the log-domain report instead")
+    return width

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import sys
 import tempfile
 import time
 from importlib import resources
@@ -323,6 +324,30 @@ def test_prob_exact_flag_refuses_log_domain(capsys):
                          "--exact")
     assert code == 1
     assert "exact" in err
+
+
+def test_prob_exact_past_the_bit_cap_is_refused_before_the_report(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "prob", "-L", "100000", "-k", "50000", "--exact")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert f"more than {limits.EXACT_NK_BIT_CAP} bits" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str guard")
+def test_main_restores_the_int_to_str_guard(capsys):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        assert run(capsys, "lc", "--bits", "1011")[0] == 0
+        assert sys.get_int_max_str_digits() == 4300
+        # while main runs the guard is raised: nfm at (16, 8) has about 11.8k digits
+        payload = run_json(capsys, "prob", "-L", "16", "-k", "8", "--exact")
+        assert len(payload["nfm"]) > 11_000
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_enumerate_census(capsys, tmp_path):

@@ -412,6 +412,24 @@ def test_census_spot_check_catches_a_disagreeing_kernel(monkeypatch, patched):
     assert cli.main(["enumerate", "-L", "3", "-k", "2"]) == 3
 
 
+def test_census_spot_check_catches_an_lc_too_low_off_the_first_lane(monkeypatch):
+    # lc - 1 on every lane below its block's maximum but lane 0 leaves the hits
+    # at the ceiling, so the census still matches nfm; only the lane of lowest
+    # lc, measured again, shows the kernel wrong
+    original = experiment.periodic_lc_words
+
+    def low_off_lane_0(z, n):
+        lcs = original(z, n)
+        low = lcs < lcs.max()
+        low[0] = False
+        return lcs - low
+
+    monkeypatch.setattr(experiment, "periodic_lc_words", low_off_lane_0)
+    with pytest.raises(AssertionError, match="word kernels"):
+        run_exhaustive(5, 2)
+    assert cli.main(["enumerate", "-L", "3", "-k", "2"]) == 3
+
+
 def test_census_working_memory_is_bounded():
     run_exhaustive(5, 2)  # warm the per-(L, k) caches
     tracemalloc.start()

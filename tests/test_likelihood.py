@@ -41,6 +41,17 @@ def test_nfm_rejects_oversized_parameters():
         nfm(257, 128)
 
 
+@pytest.mark.parametrize("L, k", [(30, 15), (257, 128), (10 ** 5, 5 * 10 ** 4)])
+@pytest.mark.parametrize("entry", [nfm, pr_exact])
+def test_exact_counts_past_the_bit_cap_are_refused_before_any_work(entry, L, k):
+    # the refusal used to follow the cardinal counts, and at L = 10^5 to end in
+    # Python's int-to-str limit while formatting nk for its message
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {EXACT_NK_BIT_CAP} bits"):
+        entry(L, k)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_pr_exact_examples():
     assert pr_exact(3, 2) == Fraction(7, 8)
     assert pr_exact(5, 2) == Fraction(29791, 32736)

@@ -30,6 +30,7 @@ def test_each_cap_is_assigned_in_one_module():
 
 
 ORDER_CHECKED = [count_filters, cosets_up_to_weight, nk, cardinal_counts, nfm, pr_report,
+                 limits.check_exact,
                  lambda L, k: random_filter(L, k, random.Random(0)),
                  lambda L, k: check_run(L, k, 1),
                  lambda L, k: check_run(L, k, 1, 5, 0)]
@@ -47,7 +48,8 @@ def test_a_count_past_the_exact_bit_cap_is_refused_before_it_is_built():
     # the count's bit length is nk(L, k): 2^20 - 1 at (21, 10), the widest
     # admitted, and 2^20 + C(21, 11) - 1 at (21, 11), which used to be built
     assert count_filters(21, 10).bit_length() == limits.EXACT_NK_BIT_CAP - 1
-    builders = [count_filters, census_size, lambda L, k: check_run(L, k, 1), run_exhaustive,
+    builders = [limits.check_exact, count_filters, census_size,
+                lambda L, k: check_run(L, k, 1), run_exhaustive,
                 lambda L, k: next(enumerate_filters(L, k)),
                 lambda L, k: random_filter(L, k, random.Random(0))]
     for L, k in [(21, 11), (40, 20), (10 ** 9, 10 ** 8)]:
