@@ -97,7 +97,7 @@ def selectable_masks(L: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
     A selector's low n_low bits pick the size 1..k-1 monomials (size-major,
     then lexicographic in taps), the n_top bits above them the size-k ones
     (lexicographic).  Returns the (mask, bit) pairs and n_low; cached, since
-    every draw and census block at one (L, k) shares the pool.
+    every draw and census chunk at one (L, k) shares the pool.
     """
     taps = [1 << t for t in range(L)]
     low = [sum(c) for d in range(1, k) for c in combinations(taps, d)]

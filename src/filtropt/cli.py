@@ -134,6 +134,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     spectrum = spectral.dft(z, ctx)
     if not spectral.verify_subfield(spectrum):
         raise AssertionError("a spectral coefficient lies outside its coset's subfield")
+    lc_spectral = spectral.lc_from_spectrum(spectrum)
+    period_spectral = spectral.period_from_spectrum(spectrum)
+    if (lc_bm, period_measured) != (lc_spectral, period_spectral):
+        raise AssertionError(f"measured (lc, period) = ({lc_bm}, {period_measured}) but the "
+                             f"spectrum gives ({lc_spectral}, {period_spectral})")
+    if any(line.coset.weight > f.k for line in spectrum.lines.values()):
+        raise AssertionError(f"a spectral line lies above weight {f.k}, the filter's order")
     lines = [{"leader": line.coset.leader, "weight": line.coset.weight,
               "cardinal": line.coset.cardinal,
               "coefficient_hex": f"0x{line.coefficient:x}"}
@@ -144,9 +151,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "filter": anf.format_anf(f),
         "order": f.k,
         "lc_bm": lc_bm,
-        "lc_spectral": spectral.lc_from_spectrum(spectrum),
+        "lc_spectral": lc_spectral,
         "period_measured": period_measured,
-        "period_spectral": spectral.period_from_spectrum(spectrum),
+        "period_spectral": period_spectral,
         "optimal": lc_bm == cosets.nk(ctx.L, f.k) and period_measured == ctx.order,
         "lines": lines,
     }

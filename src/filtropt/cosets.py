@@ -6,10 +6,10 @@ binary weight, and the orbit size divides L.  The weight-w cosets jointly
 cover all C(L, w) exponents of weight w; summed over w <= k this gives the
 ceiling nk(L, k) on the linear complexity of an order-k filter output.
 
-The special exponent 2^L - 1 (== 0 mod 2^L - 1, the all-ones string) forms
-its own orbit of size 1 and weight L.  It carries the constant component of
-a sequence and enters enumerations only when k = L, since no filter of
-order k < L can reach weight L.
+The table ends with the exponent 2^L - 1 (== 0 mod 2^L - 1, the all-ones
+string), its own orbit of size 1 and weight L.  It carries the constant
+component of a sequence, and a weight filter keeps it only when k = L,
+since no filter of order k < L can reach weight L.
 """
 from __future__ import annotations
 
@@ -39,11 +39,6 @@ def _orbit(e: int, n: int) -> list[int]:
     return orbit
 
 
-def constant_coset(L: int) -> CyclotomicCoset:
-    """The weight-L singleton orbit of 2^L - 1 (exponent 0 mod 2^L - 1)."""
-    return CyclotomicCoset((1 << L) - 1, 1, L)
-
-
 @lru_cache(maxsize=32)
 def _all_cosets(L: int) -> tuple[CyclotomicCoset, ...]:
     if L > ENUMERATION_MAX_L:
@@ -60,19 +55,17 @@ def _all_cosets(L: int) -> tuple[CyclotomicCoset, ...]:
         for x in orbit:
             seen[x] = 1
         out.append(CyclotomicCoset(e, len(orbit), e.bit_count()))
+    out.append(CyclotomicCoset(n, 1, L))  # the constant coset
     return tuple(out)
 
 
 def cosets_up_to_weight(L: int, k: int) -> list[CyclotomicCoset]:
-    """All cosets with leader weight in [1, k], sorted by leader.
+    """All cosets with leader weight in [1, k], sorted by leader: the table by weight.
 
-    Includes the weight-L constant coset exactly when k = L.
+    The table's last row, the weight-L constant coset, passes exactly when k = L.
     """
     check_order(L, k)
-    out = [c for c in _all_cosets(L) if c.weight <= k]
-    if k == L:
-        out.append(constant_coset(L))
-    return out
+    return [c for c in _all_cosets(L) if c.weight <= k]
 
 
 def _binomial_sum(n: int, top: int) -> int:

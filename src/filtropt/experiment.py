@@ -7,16 +7,16 @@ the ceiling nk(L, k) and the full period 2^L - 1.
 
 A run is cut into chunks, and a chunk returns numbers only,
 lc * (N + 1) + period per filter, which the parent process adds to the
-histogram.  A census of periods N <= WORD_MAX_PERIOD (L <= 6) is cut into
-census blocks of at most 2^CENSUS_BLOCK_BITS filters, whose outputs come
-from xor-ing the monomial vectors by subset doubling and are measured at
-once by the word kernels, one uint64 lane per filter; each block's first
-filter and its first of lowest lc are measured again by the scalar kernels
-as a spot check.  A longer census, and Monte Carlo, measure chunks of at
-most 2^CENSUS_BLOCK_BITS filters one at a time, more and smaller ones for
-more workers.  Monte Carlo seeds each trial's generator by blake2b over
-master seed and trial index, so both modes give bit-identical results for
-a given (L, k, seed, trials) at any worker count.
+histogram.  A census is cut into 2^CENSUS_BLOCK_BITS-filter ranges from
+index 0, Monte Carlo into at most that many, more and smaller chunks for
+more workers.  At N <= WORD_MAX_PERIOD (L <= 6) a census chunk's outputs
+come from a table of monomial vectors xor-ed by subset doubling and are
+measured at once by the word kernels, one uint64 lane per filter; each
+chunk's first filter and its first of lowest lc are measured again by the
+scalar kernels as a spot check.  A longer census, and Monte Carlo, measure
+their filters one at a time.  Monte Carlo seeds each trial's generator by
+blake2b over master seed and trial index, so both modes give bit-identical
+results for a given (L, k, seed, trials) at any worker count.
 
 A row sink, if given, gets each filter's TrialRecord in census or trial
 order from the parent process, which derives each chunk's filters again.
@@ -111,8 +111,8 @@ class _SequenceLab:
     monomial's vector is the AND of its taps' vectors, since its value is
     the product of those window bits; the first limits.VECTOR_CACHE_BYTES
     of vectors built are cached.  A census of word-sized periods runs that
-    loop once per census block, for the block's shared head, and xors in
-    the rest from a table (census_block); measure_block measures a block.
+    loop once per aligned run of selectors, for its shared head, and xors
+    in the rest from a table (census_block); measure_block measures a chunk.
     """
 
     def __init__(self, ctx: FieldContext, initial_state: int = 1):
@@ -154,35 +154,34 @@ class _SequenceLab:
         return periodic_lc_packed(z, self.period), min_period_packed(z, self.period)
 
     def census_block(self, k: int, start: int, stop: int) -> np.ndarray:
-        """Output periods of census filters start..stop-1, all in one census block
-        (a range that leaves it is refused).
+        """Output periods of census filters start..stop-1, one uint64 lane each.
 
         Census index i is selector s = i + 2^n_low (anf.selectable_masks), and
         its output is the xor of the vectors of the selector's set bits.  A
         table over the low CENSUS_BLOCK_BITS selector bits is built once per k
-        by subset doubling, table[j | 1 << t] = table[j] ^ vec[t]; a block is
-        that table xor the vectors of the block's shared high bits.  Lanes
-        are uint64, so the period must be at most WORD_MAX_PERIOD bits.
+        by subset doubling, table[j | 1 << t] = table[j] ^ vec[t]; each aligned
+        run of 2^CENSUS_BLOCK_BITS selectors that the range spans is that table
+        xor the vectors of the run's shared high bits.  Lanes are uint64, so
+        the period must be at most WORD_MAX_PERIOD bits.
         """
         pool, n_low = selectable_masks(self.ctx.L, k)
         if k not in self._tables:
             table = np.zeros(1, np.uint64)
-            for mask, _ in sorted(pool, key=lambda pair: pair[1])[:CENSUS_BLOCK_BITS]:
-                table = np.concatenate([table, table ^ np.uint64(self._vector(mask))])
+            for t in range(min(CENSUS_BLOCK_BITS, len(pool))):
+                column = np.uint64(self.output(_decode_selector(pool, 1 << t)))
+                table = np.concatenate([table, table ^ column])
             self._tables[k] = table
         table = self._tables[k]
         first, last = start + (1 << n_low), stop + (1 << n_low)
-        base = first & -len(table)
-        if not first <= last <= base + len(table):
-            raise ValueError(f"census filters {start}..{stop - 1} leave census block "
-                             f"{base // len(table)}")
-        head = self.output(_decode_selector(pool, base))
-        return table[first - base:last - base] ^ np.uint64(head)
+        runs = [table[max(first - base, 0):last - base]
+                ^ np.uint64(self.output(_decode_selector(pool, base)))
+                for base in range(first & -len(table), last, len(table))]
+        return np.concatenate([table[:0], *runs])  # an empty range may span no run
 
     def measure_block(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(linear complexities, minimal periods) of a census block, as int64 arrays.
+        """(linear complexities, minimal periods) of a census chunk, as int64 arrays.
 
-        The word kernels, spot-checked against the scalar kernels on the block's
+        The word kernels, spot-checked against the scalar kernels on the chunk's
         first filter and its first of lowest lc (a mismatch is a bug: AssertionError).
         """
         lcs, periods = periodic_lc_words(z, self.period), min_period_words(z, self.period)
@@ -234,18 +233,13 @@ def _measure_chunk(args: tuple[FieldContext, int, int | None, int, int]) -> np.n
                       for f in _filters(ctx.L, k, seed, lo, hi))], np.int64)
 
 
-def _chunks(ctx: FieldContext, k: int, seed: int | None, total: int,
-            jobs: int) -> list[tuple[int, int]]:
-    """[lo, hi) ranges of a run: its census blocks for word-sized periods, else
-    at most 2^CENSUS_BLOCK_BITS and total / (4 * min(jobs, cpu count)) filters."""
-    if seed is None and ctx.order <= WORD_MAX_PERIOD:
-        pool, n_low = selectable_masks(ctx.L, k)
-        step = 1 << min(CENSUS_BLOCK_BITS, len(pool))
-        first = -(1 << n_low) % step or step
-    else:
-        workers = min(jobs, os.cpu_count() or 1)
-        step = first = max(1, min(1 << CENSUS_BLOCK_BITS, total // (4 * workers)))
-    edges = [0, *range(first, total, step), total]
+def _chunks(seed: int | None, total: int, jobs: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of a run: 2^CENSUS_BLOCK_BITS filters each for a census, and
+    at most that and total / (4 * min(jobs, cpu count)) for Monte Carlo."""
+    step = 1 << CENSUS_BLOCK_BITS
+    if seed is not None:
+        step = max(1, min(step, total // (4 * min(jobs, os.cpu_count() or 1))))
+    edges = [*range(0, total, step), total]
     return list(zip(edges, edges[1:]))
 
 
@@ -264,7 +258,7 @@ def _measure(ctx: FieldContext, k: int, seed: int | None, total: int, jobs: int,
     """(lc, period) histogram of filters 0..total-1 from min(jobs, chunks, cpu count)
     processes, which run at most two chunks per process ahead of the parent; rows,
     if given, gets each filter's record as its chunk comes back."""
-    chunks = [(ctx, k, seed, lo, hi) for lo, hi in _chunks(ctx, k, seed, total, jobs)]
+    chunks = [(ctx, k, seed, lo, hi) for lo, hi in _chunks(seed, total, jobs)]
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     n, target = ctx.order, nk(ctx.L, k)
     hist = Counter()

@@ -13,7 +13,7 @@ from .field import DESK_MAX_L  # noqa: F401  (re-exported)
 # Most filters one run measures, a census or sample --trials: the census of
 # 2^21 filters at L = 6, k = 2 takes 2.5 s.
 ENUMERATION_CAP = 1 << 24
-# Filters in one census block or Monte Carlo chunk: 16 KB of uint64 lanes.
+# Filters in a census or Monte Carlo chunk, and the census table's selector bits: 16 KB.
 CENSUS_BLOCK_BITS = 11
 # Largest L of a coset table, which walks all 2^L - 1 exponents: 0.3 s at L = 20.
 ENUMERATION_MAX_L = 20

@@ -59,8 +59,7 @@ def dft(z: int, ctx: FieldContext) -> Spectrum:
     ones = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
     lines: dict[int, SpectralLine] = {}
     for coset in cosets_up_to_weight(ctx.L, ctx.L):
-        j = coset.leader % order  # constant coset folds to exponent 0
-        idx = (-j * ones) % order
+        idx = (-coset.leader * ones) % order
         coeff = int(np.bitwise_xor.reduce(exp[idx]))
         if coeff:
             lines[coset.leader] = SpectralLine(coset, coeff)
@@ -76,7 +75,7 @@ def reconstruct_period(s: Spectrum) -> int:
     acc = np.zeros(order, dtype=np.int64)
     for line in s.lines.values():
         lg = int(ctx.log_table[line.coefficient])
-        e = line.coset.leader % order
+        e = line.coset.leader
         for _ in range(line.coset.cardinal):  # conjugates: C -> C^2 doubles log C
             acc ^= exp[(e * ns + lg) % order]
             lg = 2 * lg % order

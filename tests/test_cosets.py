@@ -5,7 +5,6 @@ import pytest
 
 from filtropt import (CyclotomicCoset, cardinal_counts, coset_period, cosets_up_to_weight,
                       nk, pr_report)
-from filtropt.cosets import constant_coset
 
 from oracles import cardinal_counts_reference, coset_reference
 
@@ -48,9 +47,9 @@ def test_cosets_up_to_weight_examples():
 
 def test_constant_coset_only_at_full_weight():
     full = cosets_up_to_weight(4, 4)
-    assert full[-1] == constant_coset(4)
+    assert full[-1] == CyclotomicCoset(15, 1, 4)
     assert all(c.leader != 15 for c in cosets_up_to_weight(4, 3))
-    assert coset_period(constant_coset(4), 4) == 1
+    assert coset_period(full[-1], 4) == 1
 
 
 def test_nk_examples():

@@ -90,7 +90,7 @@ def test_census_cap():
 
 
 def test_census_jobs_invariance():
-    # (5, 2) is 16 census blocks, so jobs=4 starts real worker processes
+    # (5, 2) is 16 census chunks, so jobs=4 starts real worker processes
     a_rows, b_rows = [], []
     a = run_exhaustive(5, 2, rows=a_rows.append)
     b = run_exhaustive(5, 2, jobs=4, rows=b_rows.append)
@@ -230,7 +230,7 @@ def test_jobs_clamped_to_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(_FakePool, "sizes", [])
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
     serial, pooled = [], []
-    run_exhaustive(5, 2, rows=serial.append)  # 16 census blocks: 4 workers
+    run_exhaustive(5, 2, rows=serial.append)  # 16 census chunks: 4 workers
     run_exhaustive(5, 2, jobs=8, rows=pooled.append)
     assert pooled == serial
     run_monte_carlo(5, 2, 3, 1, jobs=8)  # 3 one-draw chunks: 3 workers
@@ -245,7 +245,7 @@ def test_workers_run_at_most_two_chunks_each_ahead(monkeypatch):
     monkeypatch.setattr(_FakePool, "sizes", [])
     monkeypatch.setattr(_FakePool, "most_unread", [])
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
-    for run in (lambda **kw: run_exhaustive(5, 2, **kw),  # 16 census blocks
+    for run in (lambda **kw: run_exhaustive(5, 2, **kw),  # 16 census chunks
                 lambda **kw: run_monte_carlo(5, 2, 400, 3, **kw)):  # 8 or more draws
         serial, pooled = [], []
         assert run(jobs=2, rows=pooled.append) == run(rows=serial.append)
@@ -273,19 +273,25 @@ def test_monte_carlo_chunks_leave_every_worker_some(monkeypatch):
     assert (chunks[0][0], chunks[-1][1]) == (0, 400)
 
 
-@pytest.mark.parametrize("L, first", [(5, 2016), (6, 1984)])
-def test_each_census_chunk_is_one_census_block(monkeypatch, L, first):
-    # census index i is selector i + 2^L here, and a block is 2^11 selectors
+@pytest.mark.parametrize("L, tail", [(5, 2016), (6, 1984)])
+def test_each_census_chunk_is_one_census_block(monkeypatch, L, tail):
+    # a census is cut into ranges of 2^11 filters from index 0, then a shorter
+    # tail, at any worker count; each range is one census_block and one
+    # measure_block, whichever aligned runs of selectors it spans
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
     chunks = _record_chunks(monkeypatch)
     blocks = []
     monkeypatch.setattr(_SequenceLab, "measure_block", lambda self, z: blocks.append(len(z))
                         or (np.zeros(len(z), np.int64),) * 2)
     run_exhaustive(L, 2)
+    run_exhaustive(L, 2, jobs=2)
+    total, step = count_filters(L, 2), 1 << CENSUS_BLOCK_BITS
+    cuts = [(lo, lo + step) for lo in range(0, total - tail, step)] + [(total - tail, total)]
+    assert (total - tail) % step == 0 and len(cuts) == {5: 16, 6: 1024}[L]
+    assert chunks == cuts + cuts and _FakePool.sizes == [2]
     assert blocks == [hi - lo for lo, hi in chunks]
-    assert chunks[0] == (0, first) and chunks[-1][1] == count_filters(L, 2)
-    assert all((lo + (1 << L)) % (1 << CENSUS_BLOCK_BITS) == 0
-               for lo, _ in chunks[1:])
-    assert [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
 
 
 def test_max_lc_implies_max_period_per_trial():
@@ -365,13 +371,16 @@ def test_census_outputs_match_per_filter_producer(L, k):
     lab = _SequenceLab(ctx)
     total = count_filters(L, k)
     want = [lab.filter_period_packed(f) for f in enumerate_filters(L, k)]
-    chunks = experiment._chunks(ctx, k, None, total, 1)
+    chunks = experiment._chunks(None, total, 1)
     blocks = [lab.census_block(k, lo, hi) for lo, hi in chunks]
     assert all(1 <= len(z) <= 1 << CENSUS_BLOCK_BITS for z in blocks)
     assert [int(v) for z in blocks for v in z] == want
-    # a part of a block
-    lo, hi = chunks[-1]
-    assert [int(v) for v in lab.census_block(k, lo + 1, hi - 1)] == want[lo + 1:hi - 1]
+    # a part of a chunk, and ranges that cross from one aligned run of 2^11
+    # selectors into the next (at L = 5, k = 2 index i is selector i + 32)
+    last = chunks[-1]
+    for lo, hi in [(last[0] + 1, last[1] - 1), (0, 3000), (2000, 2100)]:
+        if hi <= total:
+            assert [int(v) for v in lab.census_block(k, lo, hi)] == want[lo:hi]
 
 
 def test_census_past_one_word_measures_each_filter():
@@ -388,15 +397,15 @@ def test_census_past_one_word_measures_each_filter():
 
 
 def test_census_split_identity_l5(monkeypatch):
-    # 32736 filters in 16 census blocks, the first 2016 long; the same cuts
-    # at any worker count
+    # 32736 filters in 16 census chunks, 15 of 2048 and a tail of 2016; the
+    # same cuts at any worker count
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
     chunks = _record_chunks(monkeypatch)
     serial_rows, pooled_rows = [], []
     serial = run_exhaustive(5, 2, rows=serial_rows.append)
     pooled = run_exhaustive(5, 2, jobs=2, rows=pooled_rows.append)
-    cuts = [(0, 2016)] + [(lo, lo + 2048) for lo in range(2016, 32736, 2048)]
+    cuts = [(lo, lo + 2048) for lo in range(0, 30720, 2048)] + [(30720, 32736)]
     assert chunks == cuts + cuts and len(cuts) == 16
     assert pooled == serial
     assert pooled_rows == serial_rows and len(serial_rows) == 32736
@@ -442,13 +451,6 @@ def test_census_working_memory_is_bounded():
 
 
 def test_census_outputs_of_an_empty_range():
+    # at L = 4, k = 2 index i is selector i + 16, and 1008 + 16 starts a run of 2^10
     lab = _SequenceLab(context_for(4))
-    assert len(lab.census_block(2, 7, 7)) == 0
-
-
-@pytest.mark.parametrize("start, stop", [(0, 3000), (2000, 2100)])
-def test_census_block_refuses_a_range_that_leaves_it(start, stop):
-    # at L = 5 census index i is selector i + 32, and block 0 is selectors 0..2047
-    lab = _SequenceLab(context_for(5))
-    with pytest.raises(ValueError, match="census block 0"):
-        lab.census_block(2, start, stop)
+    assert len(lab.census_block(2, 7, 7)) == len(lab.census_block(2, 1008, 1008)) == 0
